@@ -1,101 +1,43 @@
-//! The DeepSpeed-style static baseline engine.
+//! The DeepSpeed-style static baseline: [`MoeLayerEngine`] configured with
+//! DeepSpeed's placement and optimizer pair (§5's experimental setup):
 //!
-//! Differences from the SYMI engine, mirroring §5's experimental setup:
-//!
-//! - **Static uniform placement**, replicas of each class striped across
-//!   *distinct* ranks (DeepSpeed does not support intra-rank expert data
-//!   parallelism, §4.1), never re-placed.
+//! - **Static striped placement**: global slot `k` hosts class `k mod E`,
+//!   so replicas of a class land on *distinct* ranks (DeepSpeed does not
+//!   support intra-rank expert data parallelism, §4.1), never re-placed.
 //! - **Optimizer coupled to the EDP group**: each of the `r` host ranks of
 //!   a class owns a `1/r` ZeRO-1 shard of that class's optimizer state —
 //!   host-offloaded, like the paper's DeepSpeed configuration.
-//! - Gradient sync is a plain ring all-reduce over the class's (striped,
-//!   non-contiguous) host group; weight updates are an all-gather of the
-//!   per-shard Adam results within the same group.
+//!
+//! Routing, per-slot capacity, dispatch, combine, loss, the gradient
+//! all-reduce over each class's (striped, non-contiguous) host group and
+//! the Adam step are the SYMI engine's own, so every measured difference
+//! between the two systems comes from the design.
 
-use symi_collectives::coll::chunk_range;
-use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
-use symi_model::expert::ExpertFfn;
-use symi_telemetry::{Phase, TelemetryHandle};
-use symi_tensor::adam::{f16_to_f32, f32_to_f16};
-use symi_tensor::ops::softmax_rows;
-use symi_tensor::rng::StdRng;
-use symi_tensor::{init, AdamConfig, AdamShard, Matrix};
-
-/// Static striped placement: global slot `k` hosts class `k mod E`.
-/// With `E` divisible by `s` this lands every replica of a class on a
-/// different rank.
-#[derive(Clone, Debug)]
-pub struct StripedPlacement {
-    expert_classes: usize,
-    slots_per_rank: usize,
-    ranks: usize,
-}
-
-impl StripedPlacement {
-    pub fn new(expert_classes: usize, ranks: usize, slots_per_rank: usize) -> Self {
-        let total = ranks * slots_per_rank;
-        assert_eq!(total % expert_classes, 0, "uniform replication must divide");
-        assert_eq!(
-            expert_classes % slots_per_rank,
-            0,
-            "striping needs E divisible by s so replicas land on distinct ranks"
-        );
-        Self { expert_classes, slots_per_rank, ranks }
-    }
-
-    pub fn replicas(&self) -> usize {
-        self.ranks * self.slots_per_rank / self.expert_classes
-    }
-
-    pub fn class_of_slot(&self, slot: usize) -> usize {
-        slot % self.expert_classes
-    }
-
-    /// Global slots hosting `class`, ascending.
-    pub fn slots_of_class(&self, class: usize) -> Vec<usize> {
-        (0..self.ranks * self.slots_per_rank).filter(|&k| self.class_of_slot(k) == class).collect()
-    }
-
-    /// Host ranks of `class`, ascending (distinct by construction).
-    pub fn host_ranks(&self, class: usize) -> Vec<usize> {
-        self.slots_of_class(class).iter().map(|&k| k / self.slots_per_rank).collect()
-    }
-
-    /// Classes hosted on `rank` with their local slot index.
-    pub fn classes_on_rank(&self, rank: usize) -> Vec<(usize, usize)> {
-        (0..self.slots_per_rank)
-            .map(|local| (self.class_of_slot(rank * self.slots_per_rank + local), local))
-            .collect()
-    }
-}
-
-/// Per-iteration statistics (matches `symi::engine::IterStats` in shape).
-#[derive(Clone, Debug)]
-pub struct IterStats {
-    pub loss: f32,
-    pub popularity: Vec<u64>,
-    pub survived: usize,
-    pub dropped: usize,
-    /// Globally aggregated per-class kept assignments.
-    pub kept_per_class: Vec<u64>,
-}
+use symi::{EngineConfig, ExpertPlacement, IterStats, MoeLayerEngine};
+use symi_collectives::{CommError, RankCtx};
+use symi_telemetry::TelemetryHandle;
+use symi_tensor::{AdamConfig, Matrix};
 
 /// Per-rank DeepSpeed-style engine for one MoE layer.
 pub struct DeepSpeedMoeEngine {
-    d_model: usize,
-    expert_classes: usize,
-    slots_per_rank: usize,
-    slot_capacity: usize,
-    rank: usize,
-    nodes: usize,
-    placement: StripedPlacement,
-    slots: Vec<ExpertFfn>,
-    /// ZeRO-1 shard of each *local* class's optimizer (one per local slot),
-    /// covering this rank's position within the class's EDP group.
-    opt_shards: Vec<AdamShard>,
-    router_w: Matrix,
-    iteration: u64,
-    telemetry: TelemetryHandle,
+    engine: MoeLayerEngine,
+}
+
+/// The engine's live striped placement, in the baseline's terms.
+#[derive(Clone, Copy, Debug)]
+pub struct StripedPlacement<'a>(&'a ExpertPlacement);
+
+impl StripedPlacement<'_> {
+    /// Replicas per class (uniform).
+    pub fn replicas(&self) -> usize {
+        self.0.replica_counts()[0]
+    }
+
+    /// Classes hosted on `rank` with their local slot index (one slot per
+    /// class: striping never co-locates replicas).
+    pub fn classes_on_rank(&self, rank: usize) -> Vec<(usize, usize)> {
+        self.0.classes_on_rank(rank).into_iter().map(|(class, locals)| (class, locals[0])).collect()
+    }
 }
 
 impl DeepSpeedMoeEngine {
@@ -111,53 +53,31 @@ impl DeepSpeedMoeEngine {
         adam: AdamConfig,
         seed: u64,
     ) -> Self {
-        let placement = StripedPlacement::new(expert_classes, nodes, slots_per_rank);
-        let class_params: Vec<Vec<f32>> = (0..expert_classes)
-            .map(|class| ExpertFfn::new(d_model, d_ff, seed ^ (0xe0 + class as u64)).flat_params())
-            .collect();
-        let mut slots = Vec::with_capacity(slots_per_rank);
-        let mut opt_shards = Vec::with_capacity(slots_per_rank);
-        let r = placement.replicas();
-        for (class, _local) in placement.classes_on_rank(rank) {
-            let mut e = ExpertFfn::new(d_model, d_ff, 0);
-            e.load_flat(&class_params[class]);
-            slots.push(e);
-            // My index within the class's EDP group decides my ZeRO shard.
-            let hosts = placement.host_ranks(class);
-            let my_idx = hosts.iter().position(|&h| h == rank).expect("I host this class");
-            let (a, b) = chunk_range(class_params[class].len(), r, my_idx);
-            opt_shards.push(AdamShard::new(adam, a, &class_params[class][a..b]));
-        }
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x70c7);
-        let router_w = init::normal(d_model, expert_classes, 0.3, &mut rng);
-        Self {
+        let cfg = EngineConfig {
             d_model,
+            d_ff,
             expert_classes,
             slots_per_rank,
             slot_capacity,
-            rank,
-            nodes,
-            placement,
-            slots,
-            opt_shards,
-            router_w,
-            iteration: 0,
-            telemetry: TelemetryHandle::disabled(),
-        }
+            adam,
+            seed,
+            layer_id: 0,
+        };
+        Self { engine: MoeLayerEngine::deepspeed_static(rank, nodes, cfg) }
     }
 
     /// Installs this rank's telemetry handle (same phase taxonomy as the
     /// SYMI engine, so breakdowns are directly comparable).
     pub fn attach_telemetry(&mut self, handle: TelemetryHandle) {
-        self.telemetry = handle;
+        self.engine.attach_telemetry(handle);
     }
 
-    pub fn placement(&self) -> &StripedPlacement {
-        &self.placement
+    pub fn placement(&self) -> StripedPlacement<'_> {
+        StripedPlacement(&self.engine.placement)
     }
 
     pub fn slot_weights(&self, local_slot: usize) -> Vec<f32> {
-        self.slots[local_slot].flat_params()
+        self.engine.slot_weights(local_slot)
     }
 
     /// One training iteration on this rank's token shard (same contract as
@@ -168,231 +88,7 @@ impl DeepSpeedMoeEngine {
         x_local: &Matrix,
         target_local: &Matrix,
     ) -> Result<IterStats, CommError> {
-        let e = self.expert_classes;
-        let n = self.nodes;
-        let s = self.slots_per_rank;
-        let d = self.d_model;
-        let world = ctx.groups().world();
-        let t_loc = x_local.rows();
-        let r = self.placement.replicas();
-        let tele = self.telemetry.clone();
-        let tags = TagSpace::new(0, self.iteration);
-
-        // Route.
-        let routing_span = tele.span(Phase::Routing);
-        let probs = softmax_rows(&x_local.matmul(&self.router_w));
-        let mut assignment = Vec::with_capacity(t_loc);
-        let mut gates = Vec::with_capacity(t_loc);
-        let mut popularity = vec![0u64; e];
-        for t in 0..t_loc {
-            let row = probs.row(t);
-            let (best, &p) = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .expect("non-empty");
-            assignment.push(best);
-            gates.push(p);
-            popularity[best] += 1;
-        }
-        drop(routing_span);
-        {
-            let _span = tele.span(Phase::PopularityAllReduce);
-            ctx.allreduce_u64_sum(
-                &world,
-                tags.phase_tag(WirePhase::PopularitySync),
-                &mut popularity,
-            )?;
-        }
-
-        // Static uniform capacity; sender-side even quota.
-        let dispatch_span = tele.span(Phase::Dispatch);
-        let quota: Vec<usize> = (0..e)
-            .map(|_| {
-                let cap = self.slot_capacity * r;
-                cap / n + usize::from(self.rank < cap % n)
-            })
-            .collect();
-        let mut taken = vec![0usize; e];
-        let mut kept = Vec::new();
-        let mut kept_slot = Vec::new();
-        for (t, &class) in assignment.iter().enumerate().take(t_loc) {
-            if taken[class] >= quota[class] {
-                continue;
-            }
-            let class_slots = self.placement.slots_of_class(class);
-            let gid = self.rank * t_loc + t;
-            kept_slot.push(class_slots[gid % class_slots.len()]);
-            kept.push(t);
-            taken[class] += 1;
-        }
-        let survived_local = kept.len();
-
-        // Dispatch.
-        let mut row_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        let mut meta_bufs: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for (i, &t) in kept.iter().enumerate() {
-            let dest = kept_slot[i] / s;
-            row_bufs[dest].extend_from_slice(x_local.row(t));
-            meta_bufs[dest].push(kept_slot[i] as u64);
-        }
-        let in_rows =
-            ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::DispatchRows), row_bufs)?;
-        let in_meta =
-            ctx.alltoallv_u64(&world, tags.phase_tag(WirePhase::DispatchMeta), meta_bufs)?;
-
-        let mut slot_inputs: Vec<Vec<f32>> = vec![Vec::new(); s];
-        let mut routing_map: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for src in 0..n {
-            for (j, &slot_id) in in_meta[src].iter().enumerate() {
-                let local = slot_id as usize - self.rank * s;
-                let row = slot_inputs[local].len() / d;
-                slot_inputs[local].extend_from_slice(&in_rows[src][j * d..(j + 1) * d]);
-                routing_map[src].push((local, row));
-            }
-        }
-        drop(dispatch_span);
-
-        // Forward + return.
-        let ffn_span = tele.span(Phase::ExpertFfn);
-        let slot_outputs: Vec<Matrix> = self
-            .slots
-            .iter_mut()
-            .zip(&slot_inputs)
-            .map(|(expert, flat)| {
-                if flat.is_empty() {
-                    Matrix::zeros(0, d)
-                } else {
-                    expert.forward(&Matrix::from_vec(flat.len() / d, d, flat.clone()))
-                }
-            })
-            .collect();
-        drop(ffn_span);
-        let combine_span = tele.span(Phase::Combine);
-        let mut back_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        for src in 0..n {
-            for &(slot, row) in &routing_map[src] {
-                back_bufs[src].extend_from_slice(slot_outputs[slot].row(row));
-            }
-        }
-        let returned =
-            ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::CombineReturn), back_bufs)?;
-
-        let mut y = Matrix::zeros(t_loc, d);
-        let mut cursor = vec![0usize; n];
-        for (i, &t) in kept.iter().enumerate() {
-            let dest = kept_slot[i] / s;
-            let j = cursor[dest];
-            cursor[dest] += 1;
-            let row = &returned[dest][j * d..(j + 1) * d];
-            for (c, &v) in row.iter().enumerate() {
-                y[(t, c)] += gates[t] * v;
-            }
-        }
-
-        // Loss + upstream grad.
-        let t_global = (t_loc * n) as f32;
-        let mut dy = y.clone();
-        dy.axpy(-1.0, target_local);
-        let mut loss_acc = vec![dy.as_slice().iter().map(|v| v * v).sum::<f32>()];
-        // dLoss/dy = 2 (y - target) / (T_global · d), matching the SYMI
-        // engine's finite-difference-checked gradient.
-        dy.scale(2.0 / (t_global * d as f32));
-        ctx.allreduce_sum(&world, tags.phase_tag(WirePhase::LossSync), &mut loss_acc)?;
-        let loss = loss_acc[0] / (t_global * d as f32);
-        drop(combine_span);
-
-        // Backward.
-        let grad_dispatch_span = tele.span(Phase::GradComm);
-        let mut gbufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        for (i, &t) in kept.iter().enumerate() {
-            let dest = kept_slot[i] / s;
-            gbufs[dest].extend(dy.row(t).iter().map(|&v| v * gates[t]));
-        }
-        let in_grads = ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::GradReturn), gbufs)?;
-        let mut slot_dys: Vec<Vec<f32>> =
-            slot_inputs.iter().map(|f| vec![0.0f32; f.len()]).collect();
-        for src in 0..n {
-            for (j, &(slot, row)) in routing_map[src].iter().enumerate() {
-                slot_dys[slot][row * d..(row + 1) * d]
-                    .copy_from_slice(&in_grads[src][j * d..(j + 1) * d]);
-            }
-        }
-        drop(grad_dispatch_span);
-        {
-            let _span = tele.span(Phase::ExpertFfn);
-            for (local, expert) in self.slots.iter_mut().enumerate() {
-                expert.zero_grad();
-                if !slot_dys[local].is_empty() {
-                    let rows = slot_dys[local].len() / d;
-                    let _ = expert.backward(&Matrix::from_vec(rows, d, slot_dys[local].clone()));
-                }
-            }
-        }
-
-        // EDP gradient all-reduce per local class over the striped
-        // (non-contiguous) host group — the group DeepSpeed created at init.
-        let gradsync_span = tele.span(Phase::GradComm);
-        let classes = self.placement.classes_on_rank(self.rank);
-        for &(class, local) in &classes {
-            let hosts = self.placement.host_ranks(class);
-            let group = CommGroup::new(hosts);
-            let mut grads = self.slots[local].flat_grads();
-            ctx.allreduce_sum(&group, tags.tag(WirePhase::GradSync, class, 0), &mut grads)?;
-            // Write the synchronized gradient back through the flat layout:
-            // reuse load/step below, so stash in slot_dys space instead.
-            slot_dys[local] = grads;
-        }
-        drop(gradsync_span);
-
-        // ZeRO-1 optimizer step: each EDP member steps its shard, then the
-        // group all-gathers the updated shards into full weights.
-        for &(class, local) in &classes {
-            let hosts = self.placement.host_ranks(class);
-            let group = CommGroup::new(hosts.clone());
-            let my_idx = hosts.iter().position(|&h| h == self.rank).expect("hosted");
-            let updated = {
-                let _span = tele.span(Phase::OptimizerStep);
-                let grads = &slot_dys[local];
-                let (a, b) = chunk_range(grads.len(), r, my_idx);
-                // Staging the fp32 gradient shard to host and the fp16
-                // weights back (PCIe).
-                ctx.record_host_device_bytes((b - a) as u64 * 4);
-                let updated = self.opt_shards[local].step(&grads[a..b]);
-                ctx.record_host_device_bytes(updated.len() as u64 * 2);
-                updated
-            };
-            let _span = tele.span(Phase::WeightComm);
-            // Adam already emits fp16-representable weights, so the gather
-            // travels at 2 B/param with no extra rounding.
-            let half: Vec<u16> = updated.iter().map(|&v| f32_to_f16(v)).collect();
-            let parts = ctx.all_gather_varsize_f16(
-                &group,
-                tags.tag(WirePhase::WeightDistribute, class, 0),
-                half,
-            )?;
-            let mut full = self.slots[local].flat_params();
-            for (idx, part) in parts.into_iter().enumerate() {
-                let (pa, pb) = chunk_range(full.len(), r, idx);
-                assert_eq!(part.len(), pb - pa, "shard shape mismatch");
-                for (dst, h) in full[pa..pb].iter_mut().zip(part) {
-                    *dst = f16_to_f32(h);
-                }
-            }
-            self.slots[local].load_flat(&full);
-        }
-
-        self.iteration += 1;
-        let mut counts = vec![survived_local as u64, (t_loc - survived_local) as u64];
-        counts.extend(taken.iter().map(|&k| k as u64));
-        ctx.allreduce_u64_sum(&world, tags.phase_tag(WirePhase::StatsSync), &mut counts)?;
-        Ok(IterStats {
-            loss,
-            popularity,
-            survived: counts[0] as usize,
-            dropped: counts[1] as usize,
-            kept_per_class: counts[2..].to_vec(),
-        })
+        self.engine.iteration(ctx, x_local, target_local)
     }
 }
 
@@ -400,6 +96,7 @@ impl DeepSpeedMoeEngine {
 mod tests {
     use super::*;
     use symi_collectives::{Cluster, ClusterSpec};
+    use symi_telemetry::ClusterTelemetry;
 
     fn engine(rank: usize, nodes: usize, cap: usize) -> DeepSpeedMoeEngine {
         DeepSpeedMoeEngine::new(rank, nodes, 8, 16, 4, 2, cap, AdamConfig::default(), 31)
@@ -411,13 +108,16 @@ mod tests {
 
     #[test]
     fn striped_placement_spreads_replicas() {
-        let p = StripedPlacement::new(4, 4, 2);
-        assert_eq!(p.replicas(), 2);
+        let p = ExpertPlacement::striped(4, 4, 2);
+        assert_eq!(p.replica_counts(), vec![2; 4]);
         for class in 0..4 {
             let hosts = p.host_ranks(class);
             assert_eq!(hosts.len(), 2);
             assert_ne!(hosts[0], hosts[1], "replicas must land on distinct ranks");
         }
+        let view = StripedPlacement(&p);
+        assert_eq!(view.replicas(), 2);
+        assert_eq!(view.classes_on_rank(1), vec![(2, 0), (3, 1)]);
     }
 
     #[test]
@@ -485,5 +185,31 @@ mod tests {
         });
         assert!(results[0].dropped > 0);
         assert_eq!(results[0].survived + results[0].dropped, 32);
+    }
+
+    #[test]
+    fn nan_token_row_routes_without_panicking() {
+        // A NaN token row makes every router probability NaN. The baseline
+        // used to take its own argmax, which panicked on the NaN
+        // comparison; it now routes through the engine's NaN-last argmax
+        // and counts the NaNs into `router.nan_logits`.
+        let nodes = 2;
+        let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+            let mut eng = engine(ctx.rank(), nodes, 1_000_000);
+            // One registry per rank: a cluster-wide one shares the gauge.
+            let telemetry = ClusterTelemetry::new(1);
+            eng.attach_telemetry(telemetry.handle(0));
+            let mut x = token_matrix(ctx.rank(), 4, 8);
+            if ctx.rank() == 0 {
+                x[(2, 3)] = f32::NAN;
+            }
+            let stats = eng.iteration(ctx, &x, &Matrix::zeros(4, 8)).expect("NaN must not abort");
+            let nan = telemetry.handle(0).gauge("router.nan_logits").get();
+            (stats.popularity.iter().sum::<u64>(), stats.survived + stats.dropped, nan)
+        });
+        assert_eq!(results[0].0, 8, "every token still routes somewhere");
+        assert_eq!(results[0].1, 8, "every token is kept or dropped, none lost");
+        assert_eq!(results[0].2, 4.0, "all four probs of rank 0's NaN row are NaN");
+        assert_eq!(results[1].2, 0.0, "rank 1 saw only finite probs");
     }
 }

@@ -7,10 +7,12 @@
 //! the implementation:
 //!
 //! - [`deepspeed`] — the *static* baseline: uniform expert replication with
-//!   replicas striped across distinct ranks (no intra-rank EDP), the
-//!   optimizer ZeRO-1-sharded across each expert's EDP group, classic ring
-//!   all-reduce for gradient sync, and an EDP all-gather for weight
-//!   updates. No adaptivity.
+//!   replicas striped across distinct ranks (no intra-rank EDP) and the
+//!   optimizer ZeRO-1-sharded across each expert's EDP group, so gradient
+//!   sync is a ring all-reduce over the group and the weight update an
+//!   all-gather inside it. No adaptivity. It is a thin wrapper over
+//!   [`symi::MoeLayerEngine::deepspeed_static`]: one engine runs both
+//!   systems, configured by placement and optimizer shard scope.
 //! - [`flexmoe`] — the *coarse-grained adaptive* baseline: FlexMoE's
 //!   interval-triggered policy (rebalance every `i` iterations, shifting
 //!   one replica at a time from the least- to the most-loaded class), with

@@ -7,7 +7,8 @@
 //! 2. The telemetry subsystem itself: a full training step with the
 //!    registry + spans + sinks enabled vs the disabled twin. The measured
 //!    relative overhead lands in `BENCH_telemetry_overhead.json` at the
-//!    repo root; the acceptance budget is <1%.
+//!    repo root; the acceptance budget is <1%, and a run whose noise floor
+//!    is at least the budget reports `"verdict": "unresolved"`.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -15,11 +16,14 @@ use std::time::Instant;
 
 use symi::{compute_placement, LayerMetadataStore, SymiPolicy};
 use symi_bench::runs::experiment_corpus;
-use symi_bench::{bench, group};
+use symi_bench::{bench, group, BudgetVerdict};
 use symi_model::{ModelConfig, Trainer};
 use symi_telemetry::json::{Obj, Value};
 use symi_telemetry::{ClusterTelemetry, RingBufferSink};
 use symi_workload::{DriftingCorpus, SyntheticTraceConfig};
+
+/// Acceptance budget of the telemetry overhead (a fraction of step time).
+const BUDGET: f64 = 0.01;
 
 fn bench_symi_components() {
     group("SYMI components (§5.3)");
@@ -144,8 +148,8 @@ fn bench_telemetry_overhead() {
     o.set("overhead_fraction", Value::Num(overhead));
     o.set("overhead_percent", Value::Num(overhead * 100.0));
     o.set("noise_floor_percent", Value::Num(noise * 100.0));
-    o.set("budget_percent", Value::Num(1.0));
-    o.set("within_budget", Value::Bool(overhead < 0.01));
+    o.set("budget_percent", Value::Num(BUDGET * 100.0));
+    o.set("verdict", Value::str(BudgetVerdict::judge(overhead, noise, BUDGET).name()));
     o.set("rounds", Value::u64(ROUNDS as u64));
     o.set("steps_per_round", Value::u64(STEPS as u64));
     o.set("reports_emitted", Value::u64(telemetry.iterations_emitted()));

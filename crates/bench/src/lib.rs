@@ -6,12 +6,14 @@
 //! pieces they share — system selection, training-run caching, latency
 //! composition, and plain-text table/CSV output.
 
+pub mod gate;
 pub mod harness;
 pub mod latency;
 pub mod output;
 pub mod plot;
 pub mod runs;
 
+pub use gate::BudgetVerdict;
 pub use harness::{bench, group, BenchResult};
 pub use latency::{average_iteration_latency, LatencyInputs};
 pub use output::{write_csv, Table};

@@ -157,32 +157,6 @@ impl RankCtx {
         Ok(parts.into_iter().map(|p| p.expect("all chunks gathered")).collect())
     }
 
-    /// [`RankCtx::all_gather_varsize`] over raw fp16 bit patterns —
-    /// half-width weight shards move 2 B/element on the wire, matching the
-    /// fp16 working-weight accounting of the paper's cost model.
-    pub fn all_gather_varsize_f16(
-        &mut self,
-        group: &CommGroup,
-        tag: u64,
-        chunk: Vec<u16>,
-    ) -> Result<Vec<Vec<u16>>, CommError> {
-        let idx = group.index_of(self.rank()).ok_or(CommError::NotInGroup { rank: self.rank() })?;
-        let m = group.size();
-        let mut parts: Vec<Option<Vec<u16>>> = vec![None; m];
-        parts[idx] = Some(chunk);
-        let next = group.ranks()[(idx + 1) % m];
-        let prev = group.ranks()[(idx + m - 1) % m];
-        for step in 0..m - 1 {
-            let send_idx = (idx + m - step) % m;
-            let recv_idx = (idx + m - step - 1) % m;
-            let outgoing = parts[send_idx].clone().expect("ring invariant: chunk present");
-            self.send(next, Self::step_tag(tag, step as u64), outgoing)?;
-            let incoming = self.recv_f16(prev, Self::step_tag(tag, step as u64))?;
-            parts[recv_idx] = Some(incoming);
-        }
-        Ok(parts.into_iter().map(|p| p.expect("all chunks gathered")).collect())
-    }
-
     /// Broadcast from the group member with global rank `root`.
     /// The root passes `Some(data)`; everyone receives the root's buffer.
     pub fn broadcast(

@@ -415,23 +415,38 @@ impl Mailbox {
         }
         let (from, tagv) = (entry.from, entry.tag);
         self.drain_channel();
-        let Some(payload) = self.take_from_stash(from, tagv) else {
+        if !self.stash.contains_key(&(from, tagv)) {
             return Ok(false);
-        };
-        let entry = self.pending.get_mut(&id).expect("entry still present");
-        if let Some(expected) = entry.expect {
-            if payload.elements() != expected {
-                let err = CommError::LengthMismatch {
-                    from,
-                    tag: tag::describe(tagv),
-                    expected,
-                    got: payload.elements(),
-                };
-                self.pending.remove(&id);
-                return Err(err);
-            }
         }
-        entry.ready = Some(payload);
+        // FIFO pairing: ops posted earlier on the same (from, tag) claim the
+        // stream's messages first, whichever of them is being polled.
+        let mut claimants: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|&(&k, e)| k < id && e.from == from && e.tag == tagv && e.ready.is_none())
+            .map(|(&k, _)| k)
+            .collect();
+        claimants.sort_unstable();
+        claimants.push(id);
+        for k in claimants {
+            let Some(payload) = self.take_from_stash(from, tagv) else {
+                return Ok(false);
+            };
+            let entry = self.pending.get_mut(&k).expect("entry still present");
+            if let Some(expected) = entry.expect {
+                if payload.elements() != expected {
+                    let err = CommError::LengthMismatch {
+                        from,
+                        tag: tag::describe(tagv),
+                        expected,
+                        got: payload.elements(),
+                    };
+                    self.pending.remove(&k);
+                    return Err(err);
+                }
+            }
+            entry.ready = Some(payload);
+        }
         Ok(true)
     }
 
@@ -773,11 +788,6 @@ impl RankCtx {
     /// Convenience: receive and unwrap a `U64` payload.
     pub fn recv_u64(&mut self, from: usize, tag: u64) -> Result<Vec<u64>, CommError> {
         self.recv(from, tag)?.into_u64()
-    }
-
-    /// Convenience: receive and unwrap an `F16` payload (raw half bits).
-    pub fn recv_f16(&mut self, from: usize, tag: u64) -> Result<Vec<u16>, CommError> {
-        self.recv(from, tag)?.into_f16()
     }
 
     /// Issues a nonblocking send. On this transport the send completes

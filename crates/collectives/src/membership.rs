@@ -146,19 +146,12 @@ impl MembershipView {
         CommGroup::new(self.survivors())
     }
 
-    /// Communicator group over the logical range `[lstart, lstart + llen)`,
-    /// expressed in physical ranks. The logical range is contiguous; the
-    /// physical set need not be — [`CommGroup`] and the ring collectives
-    /// are index-based, so that is fine.
-    pub fn subgroup(&self, lstart: usize, llen: usize) -> CommGroup {
-        let surv = self.survivors();
-        assert!(
-            lstart + llen <= surv.len(),
-            "logical range [{lstart}, {}) out of {} survivors",
-            lstart + llen,
-            surv.len()
-        );
-        CommGroup::new(surv[lstart..lstart + llen].to_vec())
+    /// Communicator group over the logical ranks `logical` (ascending),
+    /// expressed in physical ranks. The logical set need not be contiguous
+    /// and neither need the physical one — [`CommGroup`] and the ring
+    /// collectives are index-based, so that is fine.
+    pub fn subgroup(&self, logical: &[usize]) -> CommGroup {
+        CommGroup::new(logical.iter().map(|&l| self.physical_of(l)).collect())
     }
 
     /// The view with `dead` additionally marked dead and the epoch bumped.
@@ -453,7 +446,8 @@ mod tests {
         assert_eq!(v.logical_of(2), None);
         assert_eq!(v.physical_of(2), 3);
         assert_eq!(v.group().ranks(), &[0, 1, 3]);
-        assert_eq!(v.subgroup(1, 2).ranks(), &[1, 3]);
+        assert_eq!(v.subgroup(&[1, 2]).ranks(), &[1, 3]);
+        assert_eq!(v.subgroup(&[0, 2]).ranks(), &[0, 3]);
     }
 
     #[test]

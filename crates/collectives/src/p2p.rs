@@ -294,6 +294,32 @@ mod tests {
     }
 
     #[test]
+    fn polling_a_later_receive_keeps_fifo_pairing_on_a_shared_tag() {
+        // Two receives on one (from, tag) stream, both messages already
+        // delivered, and the *later* receive polled first: it must not take
+        // the stream's first message from the earlier receive.
+        let (results, _) = Cluster::run(ClusterSpec::flat(2), |ctx| {
+            if ctx.rank() == 1 {
+                ctx.batch_isend_irecv(
+                    vec![SendOp::new(0, 11, vec![1.0f32]), SendOp::new(0, 11, vec![2.0f32; 2])],
+                    &[],
+                )
+                .unwrap();
+                ctx.barrier();
+                return Vec::new();
+            }
+            let first = ctx.irecv_sized(1, 11, 1);
+            let second = ctx.irecv_sized(1, 11, 2);
+            ctx.barrier();
+            assert!(second.poll(ctx).expect("FIFO pairing"), "both messages have arrived");
+            let second = second.wait(ctx).unwrap().into_f32().unwrap();
+            let first = first.wait(ctx).unwrap().into_f32().unwrap();
+            vec![first, second]
+        });
+        assert_eq!(results[0], vec![vec![1.0], vec![2.0, 2.0]]);
+    }
+
+    #[test]
     fn wrong_length_is_rejected_at_the_wire() {
         let (results, _) = Cluster::run(ClusterSpec::flat(2), |ctx| {
             if ctx.rank() == 0 {

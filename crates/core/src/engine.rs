@@ -7,19 +7,26 @@
 //! 1. **Route** the rank's local tokens and ① all-reduce the per-class
 //!    token counts (a tensor with one element per class — negligible cost)
 //!    into the Layer Metadata Store.
-//! 2. ② Enforce per-class capacity (sender-side even quota split) and
-//!    load-balance surviving tokens across the class's replica slots, then
-//!    dispatch via all-to-all.
+//! 2. ② Enforce per-slot capacity (sender-side even split of each slot's
+//!    budget) while load-balancing tokens across the class's replica
+//!    slots, then dispatch via all-to-all.
 //! 3. Run each local slot's expert, return outputs via the reverse
 //!    all-to-all, combine gated outputs, and evaluate the loss.
 //! 4. ③ Backward through the experts and synchronize replica gradients
-//!    with the intra+inter-rank all-reduce of §4.1 over the pre-registered
-//!    contiguous groups of §4.2.
+//!    with the intra+inter-rank all-reduce of §4.1 over each class's host
+//!    group (contiguous under Algorithm 1, §4.2).
 //! 5. ④⑤ Collect gradient shards to the statically-sharded optimizer
 //!    (Algorithm 2), ⑥ compute the next placement (Algorithm 1) from the
 //!    metadata store, ⑦ step Adam, and ⑧ scatter updated weight shards
 //!    according to the **new** placement — materializing the rebalance for
 //!    free.
+//!
+//! The same engine runs the DeepSpeed-static baseline
+//! ([`MoeLayerEngine::deepspeed_static`]): a fixed striped placement that
+//! step ⑥ never replaces, and each class's optimizer state sharded over its
+//! own EDP group ([`ShardScope::EdpGroup`]) instead of over every rank, so
+//! step ④ stays local and step ⑧ is an all-gather inside the group. The
+//! two systems differ only in that configuration.
 //!
 //! The engine trains the expert MLPs against a caller-supplied regression
 //! target (the surrounding dense transformer is orthogonal to SYMI's
@@ -37,6 +44,7 @@ use symi_collectives::{
     CommError, MembershipView, OverlapStats, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
 };
 use symi_model::expert::ExpertFfn;
+use symi_netsim::ShardScope;
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::StdRng;
@@ -309,13 +317,51 @@ impl MoeLayerEngine {
     /// but run no engine until [`MoeLayerEngine::join`] admits them. With
     /// `active == world` this is exactly [`MoeLayerEngine::new`].
     pub fn new_in_world(rank: usize, active: usize, world: usize, cfg: EngineConfig) -> Self {
+        assert!(rank < active, "rank {rank} is a standby rank in a {active}-active world");
+        let placement = ExpertPlacement::uniform(cfg.expert_classes, active, cfg.slots_per_rank);
+        let view = MembershipView::partial(world, active);
+        Self::fresh(rank, cfg, placement, |class_params, _| {
+            SymiOptimizer::with_view(view, rank, cfg.adam, class_params)
+        })
+    }
+
+    /// Builds the rank-local engine configured as the DeepSpeed-static
+    /// baseline of §5 — the same pipeline, with the other placement and
+    /// optimizer pair:
+    ///
+    /// - a fixed [`ExpertPlacement::striped`] placement (every replica of a
+    ///   class on a distinct rank) that Algorithm 1 never replaces;
+    /// - each class's optimizer state ZeRO-1-sharded over its own EDP group
+    ///   ([`ShardScope::EdpGroup`]), so gradient collection stays local and
+    ///   the weight phase is an all-gather inside the group.
+    ///
+    /// It always runs the sequential schedule (`SYMI_OVERLAP` is ignored),
+    /// and elastic recovery, scale-out and snapshots are rejected: the
+    /// baseline has none of them.
+    pub fn deepspeed_static(rank: usize, nodes: usize, cfg: EngineConfig) -> Self {
+        let placement = ExpertPlacement::striped(cfg.expert_classes, nodes, cfg.slots_per_rank);
+        let mut engine = Self::fresh(rank, cfg, placement, |class_params, placement| {
+            SymiOptimizer::edp_scoped(rank, nodes, cfg.adam, class_params, placement)
+        });
+        engine.overlap = false;
+        engine
+    }
+
+    /// A fresh engine over `placement`: every rank loads identical
+    /// canonical class weights into its slots and builds the same frozen
+    /// router; `optimizer` shards the canonical weights, given the
+    /// placement.
+    fn fresh(
+        rank: usize,
+        cfg: EngineConfig,
+        placement: ExpertPlacement,
+        optimizer: impl FnOnce(&[Vec<f32>], &ExpertPlacement) -> SymiOptimizer,
+    ) -> Self {
         assert!(
             cfg.layer_id < RECOVERY_LAYER,
             "layer {} collides with the recovery tag plane",
             cfg.layer_id
         );
-        assert!(rank < active, "rank {rank} is a standby rank in a {active}-active world");
-        let placement = ExpertPlacement::uniform(cfg.expert_classes, active, cfg.slots_per_rank);
         // Canonical initial weights per class (deterministic in class id).
         let class_params: Vec<Vec<f32>> = (0..cfg.expert_classes)
             .map(|class| Self::canonical_class_params(&cfg, class))
@@ -329,13 +375,12 @@ impl MoeLayerEngine {
                 e
             })
             .collect();
-        let view = MembershipView::partial(world, active);
-        let optimizer = SymiOptimizer::with_view(view.clone(), rank, cfg.adam, &class_params);
+        let optimizer = optimizer(&class_params, &placement);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x70c7);
         let router_w = init::normal(cfg.d_model, cfg.expert_classes, 0.3, &mut rng);
         Self {
             cfg,
-            view,
+            view: optimizer.view().clone(),
             lrank: rank,
             slots,
             placement,
@@ -349,6 +394,18 @@ impl MoeLayerEngine {
             nan_logits: 0,
             telemetry: TelemetryHandle::disabled(),
         }
+    }
+
+    /// Whether this is the DeepSpeed-static configuration: its placement
+    /// is fixed and its optimizer state is scoped to the EDP groups.
+    fn fixed_placement(&self) -> bool {
+        self.optimizer.scope() == ShardScope::EdpGroup
+    }
+
+    /// Rejects a membership change or snapshot on the DeepSpeed-static
+    /// configuration, which the baseline never supported.
+    fn assert_elastic(&self, what: &str) {
+        assert!(!self.fixed_placement(), "the DeepSpeed-static engine does not support {what}");
     }
 
     /// How many iterations so far degraded to the previous placement
@@ -368,7 +425,12 @@ impl MoeLayerEngine {
     /// Takes effect at the next [`MoeLayerEngine::iteration`]; call
     /// [`MoeLayerEngine::drain`] first when switching overlap → sequential
     /// mid-run so no scatter is left in flight.
+    ///
+    /// # Panics
+    /// Panics when enabling overlap on the DeepSpeed-static configuration,
+    /// which runs the sequential schedule only.
     pub fn set_overlap(&mut self, on: bool) {
+        assert!(!on || !self.fixed_placement(), "the DeepSpeed-static engine runs sequentially");
         self.overlap = on;
     }
 
@@ -514,6 +576,7 @@ impl MoeLayerEngine {
         ctx: &mut RankCtx,
         err: &CommError,
     ) -> Result<RecoveryStats, CommError> {
+        self.assert_elastic("elastic recovery");
         let me_phys = self.view.physical_of(self.lrank);
         // The peer the error names is a *hint*, not evidence: inside a ring
         // collective this rank may be starving behind a live survivor that
@@ -695,6 +758,7 @@ impl MoeLayerEngine {
     /// Panics if `joiner` is already a member, or if a survivor died
     /// concurrently (mixed join+death changes must recover first).
     pub fn admit(&mut self, ctx: &mut RankCtx, joiner: usize) -> Result<JoinStats, CommError> {
+        self.assert_elastic("scale-out");
         assert!(!self.view.is_alive(joiner), "rank {joiner} is already a member");
         let me_phys = self.view.physical_of(self.lrank);
         self.complete_pending_weights(ctx)?;
@@ -872,6 +936,7 @@ impl MoeLayerEngine {
     /// Captures this rank's full training state (snapshot support and the
     /// oracle side of the elastic recovery tests).
     pub fn snapshot(&self) -> EngineSnapshot {
+        self.assert_elastic("snapshots");
         // Fast-forward past an in-flight weight scatter: the fp32 masters
         // have already stepped, so the authoritative placement is the
         // pending one — a restart materializes from the masters and gets
@@ -936,6 +1001,44 @@ impl MoeLayerEngine {
             nan_logits: 0,
             telemetry: TelemetryHandle::disabled(),
         }
+    }
+
+    /// Backward through the local slots `locals` from their upstream
+    /// gradients (slots that received no tokens only zero their grads).
+    fn backward_slots(&mut self, locals: &[usize], slot_dys: &[Vec<f32>]) {
+        let d = self.cfg.d_model;
+        for &local in locals {
+            let expert = &mut self.slots[local];
+            expert.zero_grad();
+            if !slot_dys[local].is_empty() {
+                let rows = slot_dys[local].len() / d;
+                let _ = expert.backward(&Matrix::from_vec(rows, d, slot_dys[local].clone()));
+            }
+        }
+    }
+
+    /// §4.1: the intra+inter-rank all-reduce of one hosted class's replica
+    /// gradients over its host group; returns the synchronized gradient.
+    fn sync_class_grads(
+        &self,
+        ctx: &mut RankCtx,
+        class: usize,
+        locals: &[usize],
+        tags: TagSpace,
+    ) -> Result<Vec<f32>, CommError> {
+        let mut tensors: Vec<Vec<f32>> =
+            locals.iter().map(|&l| self.slots[l].flat_grads()).collect();
+        // The host ranks are logical; the view maps them onto the (possibly
+        // non-contiguous) surviving physical ranks.
+        let group = self.view.subgroup(&self.placement.host_ranks(class));
+        ctx.expert_allreduce(
+            &group,
+            tags.tag(WirePhase::GradSync, class, 0),
+            &mut tensors,
+            self.placement.replica_counts()[class],
+            ReduceMode::Sum,
+        )?;
+        Ok(tensors.swap_remove(0))
     }
 
     /// Runs one full training iteration on this rank's token shard.
@@ -1206,39 +1309,18 @@ impl MoeLayerEngine {
             for (class, locals) in self.placement.classes_on_rank(self.lrank) {
                 {
                     let _span = tele.span(Phase::ExpertFfn);
-                    for &local in &locals {
-                        let expert = &mut self.slots[local];
-                        expert.zero_grad();
-                        if !slot_dys[local].is_empty() {
-                            let rows = slot_dys[local].len() / d;
-                            let _ = expert.backward(&Matrix::from_vec(
-                                rows,
-                                d,
-                                slot_dys[local].clone(),
-                            ));
-                        }
-                    }
+                    self.backward_slots(&locals, &slot_dys);
                 }
-                let mut tensors: Vec<Vec<f32>> =
-                    locals.iter().map(|&l| self.slots[l].flat_grads()).collect();
-                let (start, len) = self.placement.host_range(class);
-                let group = self.view.subgroup(start, len);
-                {
+                let grad = {
                     let _span = tele.span(Phase::GradComm);
-                    ctx.expert_allreduce(
-                        &group,
-                        tags.tag(WirePhase::GradSync, class, 0),
-                        &mut tensors,
-                        self.placement.replica_counts()[class],
-                        ReduceMode::Sum,
-                    )?;
-                }
+                    self.sync_class_grads(ctx, class, &locals, tags)?
+                };
                 self.optimizer.collect_grads_serve_class(
                     ctx,
                     &mut pending,
                     &self.placement,
                     class,
-                    &tensors[0],
+                    &grad,
                     tags,
                 )?;
                 // Opportunistic sweep: step every class whose shard has
@@ -1274,35 +1356,14 @@ impl MoeLayerEngine {
         } else {
             {
                 let _span = tele.span(Phase::ExpertFfn);
-                for (local, expert) in self.slots.iter_mut().enumerate() {
-                    expert.zero_grad();
-                    if !slot_dys[local].is_empty() {
-                        let rows = slot_dys[local].len() / d;
-                        let _ =
-                            expert.backward(&Matrix::from_vec(rows, d, slot_dys[local].clone()));
-                    }
-                }
+                self.backward_slots(&(0..s).collect::<Vec<_>>(), &slot_dys);
             }
             graph.complete(t_backward);
 
-            // §4.1: intra+inter rank gradient all-reduce per class.
             let gradsync_span = tele.span(Phase::GradComm);
             let mut class_grads: Vec<Option<Vec<f32>>> = vec![None; e];
             for (class, locals) in self.placement.classes_on_rank(self.lrank) {
-                let mut tensors: Vec<Vec<f32>> =
-                    locals.iter().map(|&l| self.slots[l].flat_grads()).collect();
-                // The host range is logical; the view maps it onto the
-                // (possibly non-contiguous) surviving physical ranks.
-                let (start, len) = self.placement.host_range(class);
-                let group = self.view.subgroup(start, len);
-                ctx.expert_allreduce(
-                    &group,
-                    tags.tag(WirePhase::GradSync, class, 0),
-                    &mut tensors,
-                    self.placement.replica_counts()[class],
-                    ReduceMode::Sum,
-                )?;
-                class_grads[class] = Some(tensors.swap_remove(0));
+                class_grads[class] = Some(self.sync_class_grads(ctx, class, &locals, tags)?);
             }
             drop(gradsync_span);
             graph.complete(t_grad_sync);
@@ -1318,7 +1379,7 @@ impl MoeLayerEngine {
         };
 
         let rebalance_span = tele.span(Phase::Rebalance);
-        let (next_placement, placement_churn) = if degraded {
+        let (next_placement, placement_churn) = if degraded || self.fixed_placement() {
             // Degraded mode: every rank observed the starved popularity
             // sync (the gather-root summed nobody's contribution or the
             // broadcast never arrived), so every rank skips the rebalance
@@ -1326,7 +1387,8 @@ impl MoeLayerEngine {
             // correct per §3.4. If ranks ever *disagreed*, the sized
             // weight-distribute receives of the diverging placements would
             // starve and escalate loudly; stale placement can never cause
-            // silent divergence.
+            // silent divergence. A fixed (DeepSpeed-static) placement never
+            // runs Algorithm 1 at all.
             (self.placement.clone(), 0)
         } else {
             let next_counts = compute_placement(
@@ -1702,6 +1764,67 @@ mod tests {
         assert_eq!(results[0].0, 8, "every token still routes somewhere");
         assert_eq!(results[0].1, 4, "all four probs of rank 0's NaN row are NaN");
         assert_eq!(results[1].1, 0, "rank 1 saw only finite probs");
+    }
+
+    #[test]
+    fn deepspeed_static_shards_each_class_over_its_edp_group_only() {
+        // E=4, s=2, N=4 → r=2: every EDP group is a proper subset of the
+        // world, so an optimizer that silently fell back to cluster-wide
+        // sharding would hold a 1/4 slice of all four classes instead of a
+        // 1/2 slice of its two hosted classes. (Both total E·P/N per rank;
+        // the per-class breakdown is what tells the two scopes apart.)
+        let nodes = 4;
+        let skewed = |rank: usize| {
+            Matrix::from_fn(16, 8, |r, c| {
+                (c as f32 * 0.7).sin() + 0.05 * (((rank * 16 + r) * 8 + c) as f32 * 0.613).sin()
+            })
+        };
+        let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+            let rank = ctx.rank();
+            let tight = EngineConfig { slot_capacity: 4, ..cfg() };
+            let mut ds = MoeLayerEngine::deepspeed_static(rank, nodes, tight);
+            // One registry per rank: a cluster-wide one shares the gauge.
+            let telemetry = symi_telemetry::ClusterTelemetry::new(1);
+            ds.attach_telemetry(telemetry.handle(0));
+            let x = skewed(rank);
+            let target = Matrix::zeros(16, 8);
+            let mut churn = 0;
+            for _ in 0..4 {
+                let stats = ds.iteration(ctx, &x, &target).unwrap();
+                assert_eq!(stats.replicas, vec![2; 4]);
+                churn += stats.placement_churn;
+            }
+            let ds_bytes = telemetry.handle(0).gauge("optimizer_state_bytes").get() as usize;
+            let symi = MoeLayerEngine::new(rank, nodes, tight);
+            let shard_lens =
+                |e: &MoeLayerEngine| (0..4).map(|c| e.master_shard(c).len()).collect::<Vec<_>>();
+            (shard_lens(&ds), shard_lens(&symi), ds_bytes, churn, ds.placement.clone())
+        });
+        let p = ExpertFfn::new(8, 16, 0).param_count();
+        let striped = ExpertPlacement::striped(4, nodes, 2);
+        for (rank, (ds_lens, symi_lens, ds_bytes, churn, placement)) in results.iter().enumerate() {
+            for class in 0..4 {
+                let hosts = striped.host_ranks(class);
+                let expected = match hosts.iter().position(|&h| h == rank) {
+                    Some(i) => {
+                        let (a, b) = symi_collectives::coll::chunk_range(p, hosts.len(), i);
+                        b - a
+                    }
+                    None => 0,
+                };
+                assert_eq!(ds_lens[class], expected, "rank {rank} class {class}: {ds_lens:?}");
+            }
+            assert_eq!(*ds_bytes, 16 * ds_lens.iter().sum::<usize>(), "rank {rank}");
+            assert_ne!(ds_lens, symi_lens, "rank {rank} holds the cluster-scoped shards");
+            assert_eq!(*churn, 0, "rank {rank}: the static placement churned");
+            assert_eq!(*placement, striped, "rank {rank}: the static placement changed");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not support snapshots")]
+    fn deepspeed_static_rejects_snapshots() {
+        let _ = MoeLayerEngine::deepspeed_static(0, 2, cfg()).snapshot();
     }
 
     #[test]

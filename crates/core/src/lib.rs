@@ -38,7 +38,9 @@ pub mod policies;
 pub mod scheduler;
 pub mod taskgraph;
 
-pub use engine::{EngineConfig, EngineSnapshot, JoinStats, MoeLayerEngine, RecoveryStats};
+pub use engine::{
+    EngineConfig, EngineSnapshot, IterStats, JoinStats, MoeLayerEngine, RecoveryStats,
+};
 pub use metadata::LayerMetadataStore;
 pub use optimizer::{
     GradCollectPending, ReshardReport, ShardState, SymiOptimizer, WeightDistributePending,

@@ -22,6 +22,15 @@
 //! pre-elastic code. After a rank death, [`SymiOptimizer::reshard`]
 //! recomputes the `1/N` chunk geometry over the survivors and rebuilds the
 //! newly-acquired slices from the freshest surviving state.
+//!
+//! The same optimizer also runs the DeepSpeed baseline's ZeRO-1 layout
+//! ([`SymiOptimizer::edp_scoped`], [`ShardScope::EdpGroup`]): each class's
+//! state is sharded `1/r` over its own hosts only, so the gradient shard is
+//! always local after the EDP all-reduce and the weight phase is an
+//! all-gather inside the EDP group. The per-iteration phases take every
+//! shard boundary from one per-class chunk ([`SymiOptimizer::class_chunk`]);
+//! a non-owner holds a zero-length shard and never touches the wire for
+//! that class. Re-sharding (and so elasticity) stays cluster-scoped.
 
 use crate::placement::ExpertPlacement;
 use symi_collectives::coll::chunk_range;
@@ -31,6 +40,7 @@ use symi_collectives::{
     decode_f16_into, encode_f16, CommError, MembershipView, PendingRecv, RankCtx, TagSpace,
     WirePhase,
 };
+use symi_netsim::ShardScope;
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::{AdamConfig, AdamShard};
 
@@ -332,6 +342,10 @@ pub struct SymiOptimizer {
     lrank: usize,
     adam: AdamConfig,
     param_count: usize,
+    /// `None` under [`ShardScope::Cluster`]; under [`ShardScope::EdpGroup`]
+    /// each class's owner set (its logical host ranks, ascending), fixed at
+    /// construction.
+    edp_groups: Option<Vec<Vec<usize>>>,
     shards: Vec<AdamShard>,
     telemetry: TelemetryHandle,
 }
@@ -354,21 +368,55 @@ impl SymiOptimizer {
         adam: AdamConfig,
         class_params: &[Vec<f32>],
     ) -> Self {
+        Self::build(view, logical_rank, adam, class_params, None)
+    }
+
+    /// The DeepSpeed baseline's ZeRO-1 layout over a full `nodes`-rank
+    /// world: each class's state is sharded `1/r` over the class's hosts
+    /// under `placement` (its EDP group, [`ShardScope::EdpGroup`]), and
+    /// this rank holds zero-length shards of the classes it does not host.
+    /// The placement must stay fixed for the optimizer's lifetime.
+    pub fn edp_scoped(
+        rank: usize,
+        nodes: usize,
+        adam: AdamConfig,
+        class_params: &[Vec<f32>],
+        placement: &ExpertPlacement,
+    ) -> Self {
+        assert_eq!(placement.ranks(), nodes, "placement rank count mismatch");
+        let groups = (0..class_params.len()).map(|c| placement.host_ranks(c)).collect();
+        Self::build(MembershipView::full(nodes), rank, adam, class_params, Some(groups))
+    }
+
+    fn build(
+        view: MembershipView,
+        logical_rank: usize,
+        adam: AdamConfig,
+        class_params: &[Vec<f32>],
+        edp_groups: Option<Vec<Vec<usize>>>,
+    ) -> Self {
         assert!(!class_params.is_empty(), "need at least one expert class");
         assert!(logical_rank < view.size(), "logical rank {logical_rank} out of the view");
         let param_count = class_params[0].len();
         assert!(class_params.iter().all(|p| p.len() == param_count), "uneven expert sizes");
-        let (start, end) = chunk_range(param_count, view.size(), logical_rank);
-        let shards =
-            class_params.iter().map(|p| AdamShard::new(adam, start, &p[start..end])).collect();
-        Self {
+        let mut opt = Self {
             view,
             lrank: logical_rank,
             adam,
             param_count,
-            shards,
+            edp_groups,
+            shards: Vec::new(),
             telemetry: TelemetryHandle::disabled(),
-        }
+        };
+        opt.shards = class_params
+            .iter()
+            .enumerate()
+            .map(|(class, p)| {
+                let (start, end) = opt.class_chunk(class, logical_rank);
+                AdamShard::new(adam, start, &p[start..end])
+            })
+            .collect();
+        opt
     }
 
     /// Rebuilds an optimizer from explicit shard state — the snapshot
@@ -399,6 +447,7 @@ impl SymiOptimizer {
             lrank: logical_rank,
             adam,
             param_count,
+            edp_groups: None,
             shards,
             telemetry: TelemetryHandle::disabled(),
         }
@@ -429,11 +478,36 @@ impl SymiOptimizer {
         self.view.physical_of(self.lrank)
     }
 
-    /// This rank's shard boundaries within a flat expert parameter vector.
-    /// Zero-length shards (more survivors than parameters) are legal: such
-    /// a rank simply neither sends nor receives in the shard phases.
+    /// This rank's shard boundaries within a flat expert parameter vector,
+    /// identical for every class under [`ShardScope::Cluster`] (the only
+    /// scope this is defined for; see [`SymiOptimizer::class_chunk`]).
     pub fn shard_range(&self) -> (usize, usize) {
+        assert!(self.edp_groups.is_none(), "an EDP-scoped shard range is per class");
         chunk_range(self.param_count, self.nodes(), self.lrank)
+    }
+
+    /// Where each class's optimizer state is sharded.
+    pub fn scope(&self) -> ShardScope {
+        match self.edp_groups {
+            None => ShardScope::Cluster,
+            Some(_) => ShardScope::EdpGroup,
+        }
+    }
+
+    /// Logical rank `lrank`'s chunk of `class`'s flat parameters: a `1/N`
+    /// slice over every rank under [`ShardScope::Cluster`], a `1/r` slice
+    /// over the class's hosts under [`ShardScope::EdpGroup`]. Zero-length
+    /// chunks (a non-owner, or more owners than parameters) are legal: such
+    /// a rank neither sends nor receives that class in the shard phases.
+    pub fn class_chunk(&self, class: usize, lrank: usize) -> (usize, usize) {
+        let Some(groups) = &self.edp_groups else {
+            return chunk_range(self.param_count, self.nodes(), lrank);
+        };
+        let owners = &groups[class];
+        match owners.binary_search(&lrank) {
+            Ok(i) => chunk_range(self.param_count, owners.len(), i),
+            Err(_) => (0, 0),
+        }
     }
 
     pub fn expert_classes(&self) -> usize {
@@ -487,7 +561,9 @@ impl SymiOptimizer {
     /// hosts a replica of `class` under `placement` (logical ranks). `tags`
     /// is the iteration's structured tag space: every shard travels under
     /// `(GradCollect, class, src_physical)` with exclusive bit fields, and
-    /// each receive validates the shard's element count at the wire.
+    /// each receive validates the shard's element count at the wire. Every
+    /// collected shard is staged into host memory (the PCIe leg of T_G;
+    /// gradients stay fp32 — only the weight phase travels fp16).
     pub fn collect_grads(
         &self,
         ctx: &mut RankCtx,
@@ -495,86 +571,31 @@ impl SymiOptimizer {
         local_grads: &[Option<Vec<f32>>],
         tags: TagSpace,
     ) -> Result<Vec<Vec<f32>>, CommError> {
-        let _span = self.telemetry.span(Phase::GradComm);
-        let e = self.shards.len();
-        assert_eq!(local_grads.len(), e, "one (optional) gradient per class");
-        let n = self.nodes();
-        let me_phys = self.my_phys();
-        ctx.begin_epoch(tags.iteration(), WirePhase::GradCollect);
-
-        // Sends: for every class I host, serve the shard of every rank whose
-        // get_source picks me. Zero-length destination shards never touch
-        // the wire (both sides compute the same chunk geometry).
-        let mut sends = Vec::new();
-        for (class, maybe_grad) in local_grads.iter().enumerate() {
-            let Some(grad) = maybe_grad else { continue };
-            let hosts = placement.host_ranks(class);
-            debug_assert!(hosts.contains(&self.lrank), "have grads only for hosted classes");
-            for dst in 0..n {
-                if dst == self.lrank {
-                    continue;
-                }
-                if get_source(&hosts, dst) == self.lrank {
-                    let (s, t) = chunk_range(self.param_count, n, dst);
-                    if s == t {
-                        continue;
-                    }
-                    sends.push(SendOp::new(
-                        self.view.physical_of(dst),
-                        tags.tag(WirePhase::GradCollect, class, me_phys),
-                        grad[s..t].to_vec(),
-                    ));
-                }
+        assert_eq!(local_grads.len(), self.shards.len(), "one (optional) gradient per class");
+        // The split phases run back to back: post every receive, serve every
+        // hosted class, then take every shard in class order.
+        let mut pending = self.collect_grads_begin(ctx, placement, tags);
+        for (class, grad) in local_grads.iter().enumerate() {
+            if let Some(grad) = grad {
+                self.collect_grads_serve_class(ctx, &mut pending, placement, class, grad, tags)?;
             }
         }
+        let shards = (0..local_grads.len())
+            .map(|class| self.collect_grads_wait_take(ctx, &mut pending, class))
+            .collect::<Result<_, _>>()?;
+        self.collect_grads_finish(ctx, pending);
+        Ok(shards)
+    }
 
-        // Receives: my shard of every class, locally when possible.
-        let (ms, mt) = self.shard_range();
-        let mut recvs = Vec::new();
-        let mut local_copy: Vec<Option<Vec<f32>>> = vec![None; e];
-        for class in 0..e {
-            if ms == mt {
-                // Zero-length shard: nothing to collect for any class.
-                local_copy[class] = Some(Vec::new());
-                continue;
-            }
-            let hosts = placement.host_ranks(class);
-            let src = get_source(&hosts, self.lrank);
-            if src == self.lrank {
-                let grad = local_grads[class]
-                    .as_ref()
-                    .expect("get_source returned self, so the class is local");
-                local_copy[class] = Some(grad[ms..mt].to_vec());
-            } else {
-                let src_phys = self.view.physical_of(src);
-                recvs.push(RecvOp::sized(
-                    src_phys,
-                    tags.tag(WirePhase::GradCollect, class, src_phys),
-                    mt - ms,
-                ));
-            }
+    /// The phase gradient collection is accounted to. Under EdpGroup every
+    /// owned shard is already local after the EDP all-reduce, so collecting
+    /// is only ZeRO-1 offload's host staging, which that design accounts to
+    /// its optimizer step.
+    fn collect_phase(&self) -> Phase {
+        match self.scope() {
+            ShardScope::EdpGroup => Phase::OptimizerStep,
+            _ => Phase::GradComm,
         }
-        let retries_before = ctx.protocol_stats().retries;
-        let mut received = ctx.batch_isend_irecv(sends, &recvs)?.into_iter();
-        if self.telemetry.is_enabled() {
-            // Retry attempts burned collecting this iteration's shards —
-            // the first phase to stutter when a source replica straggles.
-            let delta = ctx.protocol_stats().retries - retries_before;
-            self.telemetry.gauge("grad_collect_retries").set(delta as f64);
-        }
-
-        // Stage every collected shard into host memory (PCIe leg of T_G;
-        // gradients stay fp32 — only the weight phase travels fp16).
-        let mut out = Vec::with_capacity(e);
-        for slot in local_copy {
-            let shard = match slot {
-                Some(local) => local,
-                None => received.next().expect("one receive per remote class").into_f32()?,
-            };
-            ctx.record_host_device_bytes(shard.len() as u64 * 4);
-            out.push(shard);
-        }
-        Ok(out)
     }
 
     /// The issue half of a split [`SymiOptimizer::collect_grads`]: advances
@@ -589,15 +610,15 @@ impl SymiOptimizer {
         placement: &ExpertPlacement,
         tags: TagSpace,
     ) -> GradCollectPending {
-        let _span = self.telemetry.span(Phase::GradComm);
+        let _span = self.telemetry.span(self.collect_phase());
         let e = self.shards.len();
         ctx.begin_epoch(tags.iteration(), WirePhase::GradCollect);
-        let (ms, mt) = self.shard_range();
         let retries_before = ctx.protocol_stats().retries;
         let mut sources = Vec::with_capacity(e);
         for class in 0..e {
+            let (ms, mt) = self.class_chunk(class, self.lrank);
             if ms == mt {
-                // Zero-length shard: nothing to collect for any class.
+                // Zero-length shard: nothing to collect for this class.
                 sources.push(GradSource::Ready(Vec::new()));
                 continue;
             }
@@ -633,7 +654,7 @@ impl SymiOptimizer {
         grad: &[f32],
         tags: TagSpace,
     ) -> Result<(), CommError> {
-        let _span = self.telemetry.span(Phase::GradComm);
+        let _span = self.telemetry.span(self.collect_phase());
         let n = self.nodes();
         let me_phys = self.my_phys();
         let hosts = placement.host_ranks(class);
@@ -643,7 +664,7 @@ impl SymiOptimizer {
                 continue;
             }
             if get_source(&hosts, dst) == self.lrank {
-                let (s, t) = chunk_range(self.param_count, n, dst);
+                let (s, t) = self.class_chunk(class, dst);
                 if s == t {
                     continue;
                 }
@@ -655,7 +676,7 @@ impl SymiOptimizer {
             }
         }
         if matches!(pending.sources[class], GradSource::AwaitLocal) {
-            let (ms, mt) = self.shard_range();
+            let (ms, mt) = self.class_chunk(class, self.lrank);
             pending.sources[class] = GradSource::Ready(grad[ms..mt].to_vec());
         }
         Ok(())
@@ -703,7 +724,7 @@ impl SymiOptimizer {
         pending: &mut GradCollectPending,
         class: usize,
     ) -> Result<Vec<f32>, CommError> {
-        let _span = self.telemetry.span(Phase::GradComm);
+        let _span = self.telemetry.span(self.collect_phase());
         match std::mem::replace(&mut pending.sources[class], GradSource::Taken) {
             GradSource::Taken => panic!("class {class} gradient shard taken twice"),
             GradSource::AwaitLocal => {
@@ -822,22 +843,22 @@ impl SymiOptimizer {
             ctx.record_host_device_bytes(shard.len() as u64 * 2);
         }
 
-        // One send per (class, distinct remote host rank); my own slots are
-        // fed locally at finish.
-        let (ms, mt) = self.shard_range();
+        // One send per (class with a non-empty shard, distinct remote host
+        // rank); my own slots are fed locally at finish.
         let mut sends = Vec::new();
-        if ms != mt {
-            for (class, half) in half_shards.iter().enumerate() {
-                for &dst in &new_placement.host_ranks(class) {
-                    if dst == self.lrank {
-                        continue;
-                    }
-                    sends.push(SendOp::new(
-                        self.view.physical_of(dst),
-                        tags.tag(WirePhase::WeightDistribute, class, me_phys),
-                        half.clone(),
-                    ));
+        for (class, half) in half_shards.iter().enumerate() {
+            if half.is_empty() {
+                continue;
+            }
+            for &dst in &new_placement.host_ranks(class) {
+                if dst == self.lrank {
+                    continue;
                 }
+                sends.push(SendOp::new(
+                    self.view.physical_of(dst),
+                    tags.tag(WirePhase::WeightDistribute, class, me_phys),
+                    half.clone(),
+                ));
             }
         }
 
@@ -850,7 +871,7 @@ impl SymiOptimizer {
                 if src == self.lrank {
                     continue;
                 }
-                let (a, b) = chunk_range(self.param_count, n, src);
+                let (a, b) = self.class_chunk(class, src);
                 if a == b {
                     continue;
                 }
@@ -918,7 +939,7 @@ impl SymiOptimizer {
         for &(class, _) in &my_classes {
             let mut full = vec![0.0f32; self.param_count];
             for src in 0..n {
-                let (a, b) = chunk_range(self.param_count, n, src);
+                let (a, b) = self.class_chunk(class, src);
                 if a == b {
                     continue;
                 }
@@ -983,6 +1004,10 @@ impl SymiOptimizer {
         tags: TagSpace,
     ) -> Result<ReshardReport, CommError> {
         assert!(new_view.epoch() > self.view.epoch(), "re-shard needs a successor view");
+        assert!(
+            self.edp_groups.is_none(),
+            "an EDP-scoped optimizer is fixed to its placement and cannot re-shard"
+        );
         if new_view.size() > self.nodes() {
             // The growing direction: shed slices transfer their full fp32
             // Adam state owner-to-owner, so the old placement, the fp16
@@ -1193,6 +1218,7 @@ impl SymiOptimizer {
                 lrank,
                 adam,
                 param_count,
+                edp_groups: None,
                 shards,
                 telemetry: TelemetryHandle::disabled(),
             },

@@ -4,9 +4,10 @@
 /// A global expert placement: which class occupies each of the `sN` slots.
 ///
 /// Slots are numbered globally; slot `k` lives on rank `k / slots_per_rank`.
-/// SYMI placements are contiguous by construction (Algorithm 1), which this
-/// type verifies so the contiguous-group optimization of §4.2 is always
-/// sound.
+/// SYMI placements are contiguous by construction (Algorithm 1), so each
+/// class's host ranks form a contiguous range (§4.2); the DeepSpeed
+/// baseline's [`ExpertPlacement::striped`] layout is the one non-contiguous
+/// shape.
 ///
 /// ```
 /// use symi::ExpertPlacement;
@@ -14,7 +15,7 @@
 /// // 2 classes over 2 ranks × 2 slots; class 0 holds 3 replicas.
 /// let p = ExpertPlacement::from_counts(&[3, 1], 2);
 /// assert_eq!(p.host_ranks(0), vec![0, 1]);
-/// assert_eq!(p.host_range(1), (1, 1));
+/// assert_eq!(p.host_ranks(1), vec![1]);
 /// assert!(p.rank_hosts(0, 0) && !p.rank_hosts(0, 1));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,6 +38,24 @@ impl ExpertPlacement {
         let total = ranks * slots_per_rank;
         assert_eq!(total % expert_classes, 0, "uniform placement must divide");
         Self::from_counts(&vec![total / expert_classes; expert_classes], slots_per_rank)
+    }
+
+    /// Static striped placement (DeepSpeed-style): global slot `k` hosts
+    /// class `k mod E`, so every replica of a class lands on a distinct
+    /// rank (no intra-rank expert data parallelism, §4.1).
+    pub fn striped(expert_classes: usize, ranks: usize, slots_per_rank: usize) -> Self {
+        let total = ranks * slots_per_rank;
+        assert_eq!(total % expert_classes, 0, "uniform replication must divide");
+        assert_eq!(
+            expert_classes % slots_per_rank,
+            0,
+            "striping needs E divisible by s so replicas land on distinct ranks"
+        );
+        Self {
+            slot_class: (0..total).map(|k| k % expert_classes).collect(),
+            slots_per_rank,
+            expert_classes,
+        }
     }
 
     pub fn total_slots(&self) -> usize {
@@ -109,23 +128,6 @@ impl ExpertPlacement {
         ranks
     }
 
-    /// The contiguous rank range `(start, len)` hosting `class`.
-    ///
-    /// # Panics
-    /// Panics if the class's hosts are not contiguous (cannot happen for
-    /// placements built by [`ExpertPlacement::from_counts`]).
-    pub fn host_range(&self, class: usize) -> (usize, usize) {
-        let ranks = self.host_ranks(class);
-        assert!(!ranks.is_empty(), "class {class} is not placed anywhere");
-        let start = ranks[0];
-        let len = ranks.len();
-        assert!(
-            ranks.windows(2).all(|w| w[1] == w[0] + 1),
-            "class {class} hosts are not contiguous"
-        );
-        (start, len)
-    }
-
     /// Whether `rank` hosts at least one replica of `class`.
     pub fn rank_hosts(&self, rank: usize, class: usize) -> bool {
         self.slots_of_rank(rank).any(|s| self.slot_class[s] == class)
@@ -159,13 +161,6 @@ mod tests {
         let p = ExpertPlacement::from_counts(&[3, 1], 2);
         assert_eq!(p.classes_on_rank(0), vec![(0, vec![0, 1])]);
         assert_eq!(p.classes_on_rank(1), vec![(0, vec![0]), (1, vec![1])]);
-    }
-
-    #[test]
-    fn host_range_is_contiguous() {
-        let p = ExpertPlacement::from_counts(&[3, 1], 2);
-        assert_eq!(p.host_range(0), (0, 2));
-        assert_eq!(p.host_range(1), (1, 1));
     }
 
     #[test]

@@ -97,12 +97,12 @@ fn placement_roundtrips_counts() {
         let counts = compute_placement(&popularity, total_slots);
         let placement = ExpertPlacement::from_counts(&counts, s);
         assert_eq!(placement.replica_counts(), counts);
-        // Host ranges are contiguous and cover every class.
+        // Host ranks are contiguous and cover every class.
         for class in 0..e {
-            let (start, len) = placement.host_range(class);
-            assert!(len >= 1);
-            assert!(start + len <= placement.ranks());
-            assert_eq!(placement.host_ranks(class).len(), len);
+            let hosts = placement.host_ranks(class);
+            assert!(!hosts.is_empty());
+            assert!(hosts.windows(2).all(|w| w[1] == w[0] + 1), "class {class}: {hosts:?}");
+            assert!(*hosts.last().unwrap() < placement.ranks());
         }
     }
 }
