@@ -48,11 +48,6 @@ pub fn kind_name(kind: u32) -> &'static str {
     }
 }
 
-/// Flat parameter count of one expert FFN — the unit the fp32 shards chunk.
-pub fn expert_param_count(cfg: &EngineConfig) -> usize {
-    cfg.d_model * cfg.d_ff + cfg.d_ff + cfg.d_ff * cfg.d_model + cfg.d_model
-}
-
 // ---------------------------------------------------------------------------
 // Byte-level writer / reader
 // ---------------------------------------------------------------------------
@@ -455,7 +450,7 @@ pub fn decode_engine(
     };
     let n_shards = r.count(24, "shards.len")?;
     check_eq_u64(file, "shards.len", n_shards as u64, expert_classes as u64)?;
-    let param_count = expert_param_count(&config);
+    let param_count = config.expert_param_count();
     let mut shards = Vec::with_capacity(n_shards);
     for i in 0..n_shards {
         let offset = r.usize(&format!("shards[{i}].offset"))?;
@@ -866,7 +861,7 @@ mod tests {
 
     fn tiny_snapshot(cfg: &EngineConfig, world: usize, rank: usize) -> EngineSnapshot {
         use symi_collectives::coll::chunk_range;
-        let params = expert_param_count(cfg);
+        let params = cfg.expert_param_count();
         let (start, end) = chunk_range(params, world, rank);
         let len = end - start;
         let shard = |salt: f32| ShardState {

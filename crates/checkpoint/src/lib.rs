@@ -39,9 +39,9 @@ pub mod writer;
 pub use crc32::crc32;
 pub use error::CkptError;
 pub use format::{
-    decode_container, decode_engine, decode_trainer, encode_engine, encode_trainer,
-    expert_param_count, inspect, kind_name, EngineFile, InspectInfo, RawCheckpoint, FORMAT_VERSION,
-    KIND_ENGINE, KIND_TRAINER, MAGIC,
+    decode_container, decode_engine, decode_trainer, encode_engine, encode_trainer, inspect,
+    kind_name, EngineFile, InspectInfo, RawCheckpoint, FORMAT_VERSION, KIND_ENGINE, KIND_TRAINER,
+    MAGIC,
 };
 pub use manager::{CheckpointConfig, CheckpointManager, CheckpointStats};
 pub use store::{

@@ -13,9 +13,9 @@
 //!   closure on each, with panic propagation and deterministic teardown.
 //! - [`ctx::RankCtx`]: per-rank handle with tagged point-to-point `send` /
 //!   `recv`, barriers, and the collectives below.
-//! - Ring all-reduce, reduce-scatter, all-gather, broadcast, gather,
-//!   all-to-all(v) ([`coll`]), matching the volume formulas in §3.3/A.2 of
-//!   the paper (e.g. ring all-reduce moves `2(r−1)/r · G` per rank).
+//! - Ring all-reduce, a `u64` counter all-reduce and all-to-all(v)
+//!   ([`coll`]), matching the volume formulas in §3.3/A.2 of the paper
+//!   (ring all-reduce moves `2(r−1)/r · G` per rank).
 //! - Batched point-to-point transfers ([`p2p`]) — the paper's
 //!   `batch_isend_irecv` used by the SYMI optimizer's gradient-collection
 //!   and weight-materialization phases (§4.3–4.4), split into nonblocking

@@ -72,6 +72,12 @@ impl EngineConfig {
     pub fn total_slots(&self, nodes: usize) -> usize {
         self.slots_per_rank * nodes
     }
+
+    /// Flat parameter count of one expert FFN (`W1`, `b1`, `W2`, `b2`): the
+    /// unit the optimizer shards chunk and a checkpoint is validated in.
+    pub fn expert_param_count(&self) -> usize {
+        2 * self.d_model * self.d_ff + self.d_ff + self.d_model
+    }
 }
 
 /// A weight scatter issued at the end of iteration *i* whose fence is
@@ -217,34 +223,75 @@ pub fn assign_token_slots(
     (kept, kept_slot, taken)
 }
 
-/// Folds the survivors' join-agreement payloads
-/// (`[iterations, adam_step, pop_len, pop…]`, indexed by physical rank;
-/// the joiner's placeholder at index `joiner` is skipped): the resume
-/// iteration and Adam step are the maxima, and the freshest popularity
-/// wins (ties to the lowest physical rank, so every member picks the
-/// same).
-fn fold_join_payloads(
-    payloads: &[Option<Vec<u64>>],
-    joiner: usize,
-) -> (u64, u64, Option<Vec<u64>>) {
-    let mut resume_iter = 0u64;
+/// `(iteration, Adam step, popularity)` folded from agreement payloads.
+type Folded = (u64, u64, Option<Vec<u64>>);
+
+/// Folds the `[completed iterations, Adam step, pop_len, pop…]` payloads
+/// of a membership agreement, indexed by physical rank. A joiner's
+/// placeholder at index `joiner` is skipped. The iteration and Adam step
+/// are the maxima, and the freshest popularity wins (ties to the lowest
+/// physical rank, so every member picks the same).
+fn fold_payloads(payloads: &[Option<Vec<u64>>], joiner: Option<usize>) -> Folded {
+    let mut iteration = 0u64;
     let mut adam_t = 0u64;
     let mut best: Option<(u64, Vec<u64>)> = None;
     for (phys, p) in payloads.iter().enumerate() {
-        if phys == joiner {
+        let Some(p) = p else { continue };
+        if Some(phys) == joiner {
             continue;
         }
-        let Some(p) = p else { continue };
         let it = p[0];
-        resume_iter = resume_iter.max(it);
+        iteration = iteration.max(it);
         adam_t = adam_t.max(p[1]);
         let len = p[2] as usize;
-        debug_assert!(p.len() >= 3 + len, "malformed join payload");
+        debug_assert!(p.len() >= 3 + len, "malformed agreement payload");
         if len > 0 && best.as_ref().is_none_or(|(bi, _)| it > *bi) {
             best = Some((it, p[3..3 + len].to_vec()));
         }
     }
-    (resume_iter, adam_t, best.map(|(_, pop)| pop))
+    (iteration, adam_t, best.map(|(_, pop)| pop))
+}
+
+/// Runs the membership agreement on `proposed`, then namespaces every
+/// later message under the agreed generation (stragglers from the old
+/// epoch are dropped, and a re-joined physical rank starts a fresh sequence
+/// space) and registers the epoch's world bound with the group registry.
+/// Returns the agreed view and the members' folded payloads
+/// ([`fold_payloads`]).
+fn agree_world(
+    ctx: &mut RankCtx,
+    proposed: &MembershipView,
+    suspects: &[usize],
+    payload: &[u64],
+    joiner: Option<usize>,
+) -> Result<(MembershipView, Folded), CommError> {
+    let timeout = ctx.default_membership_timeout();
+    let (view, payloads) = ctx.agree_membership(proposed, suspects, payload, timeout)?;
+    ctx.set_membership_gen(view.epoch());
+    ctx.groups().register_epoch(view.epoch(), view.world());
+    Ok((view, fold_payloads(&payloads, joiner)))
+}
+
+/// Algorithm 1 over the slots of an `n`-rank world, from `popularity`
+/// (all zeros before any iteration has recorded one).
+fn placement_for_world(
+    cfg: &EngineConfig,
+    popularity: Option<&[u64]>,
+    n: usize,
+) -> ExpertPlacement {
+    let total = cfg.total_slots(n);
+    let counts = match popularity {
+        Some(pop) => compute_placement(pop, total),
+        None => compute_placement(&vec![0u64; cfg.expert_classes], total),
+    };
+    ExpertPlacement::from_counts(&counts, cfg.slots_per_rank)
+}
+
+/// An expert slot loaded with `weights`.
+fn expert_with(cfg: &EngineConfig, weights: &[f32]) -> ExpertFfn {
+    let mut e = ExpertFfn::new(cfg.d_model, cfg.d_ff, 0);
+    e.load_flat(weights);
+    e
 }
 
 /// Per-rank SYMI engine for one MoE layer.
@@ -340,56 +387,69 @@ impl MoeLayerEngine {
     /// baseline has none of them.
     pub fn deepspeed_static(rank: usize, nodes: usize, cfg: EngineConfig) -> Self {
         let placement = ExpertPlacement::striped(cfg.expert_classes, nodes, cfg.slots_per_rank);
-        let mut engine = Self::fresh(rank, cfg, placement, |class_params, placement| {
+        Self::fresh(rank, cfg, placement, |class_params, placement| {
             SymiOptimizer::edp_scoped(rank, nodes, cfg.adam, class_params, placement)
-        });
-        engine.overlap = false;
-        engine
+        })
     }
 
     /// A fresh engine over `placement`: every rank loads identical
-    /// canonical class weights into its slots and builds the same frozen
-    /// router; `optimizer` shards the canonical weights, given the
-    /// placement.
+    /// canonical class weights into its slots; `optimizer` shards the
+    /// canonical weights, given the placement.
     fn fresh(
         rank: usize,
         cfg: EngineConfig,
         placement: ExpertPlacement,
         optimizer: impl FnOnce(&[Vec<f32>], &ExpertPlacement) -> SymiOptimizer,
     ) -> Self {
-        assert!(
-            cfg.layer_id < RECOVERY_LAYER,
-            "layer {} collides with the recovery tag plane",
-            cfg.layer_id
-        );
         // Canonical initial weights per class (deterministic in class id).
         let class_params: Vec<Vec<f32>> = (0..cfg.expert_classes)
             .map(|class| Self::canonical_class_params(&cfg, class))
             .collect();
         let slots = placement
             .slots_of_rank(rank)
-            .map(|slot| {
-                let class = placement.class_of_slot(slot);
-                let mut e = ExpertFfn::new(cfg.d_model, cfg.d_ff, 0);
-                e.load_flat(&class_params[class]);
-                e
-            })
+            .map(|slot| expert_with(&cfg, &class_params[placement.class_of_slot(slot)]))
             .collect();
         let optimizer = optimizer(&class_params, &placement);
+        Self::assemble(cfg, slots, placement, optimizer, 0, None)
+    }
+
+    /// The one constructor every entry point ends in: the engine adopts
+    /// the optimizer's view and logical rank, every rank builds the same
+    /// frozen router from `cfg.seed`, and the metadata store starts from
+    /// `popularity`.
+    fn assemble(
+        cfg: EngineConfig,
+        slots: Vec<ExpertFfn>,
+        placement: ExpertPlacement,
+        optimizer: SymiOptimizer,
+        iteration: u64,
+        popularity: Option<Vec<u64>>,
+    ) -> Self {
+        assert!(
+            cfg.layer_id < RECOVERY_LAYER,
+            "layer {} collides with the recovery tag plane",
+            cfg.layer_id
+        );
+        let mut metadata = LayerMetadataStore::new(1, 64);
+        if let Some(pop) = popularity {
+            metadata.record(0, pop);
+        }
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x70c7);
         let router_w = init::normal(cfg.d_model, cfg.expert_classes, 0.3, &mut rng);
+        // The DeepSpeed-static configuration runs the sequential schedule.
+        let overlap = optimizer.scope() == ShardScope::Cluster && overlap_from_env();
         Self {
             cfg,
             view: optimizer.view().clone(),
-            lrank: rank,
+            lrank: optimizer.logical_rank(),
             slots,
             placement,
             optimizer,
-            metadata: LayerMetadataStore::new(1, 64),
+            metadata,
             router_w,
-            iteration: 0,
+            iteration,
             degraded_iterations: 0,
-            overlap: overlap_from_env(),
+            overlap,
             pending_weights: None,
             nan_logits: 0,
             telemetry: TelemetryHandle::disabled(),
@@ -432,11 +492,6 @@ impl MoeLayerEngine {
     pub fn set_overlap(&mut self, on: bool) {
         assert!(!on || !self.fixed_placement(), "the DeepSpeed-static engine runs sequentially");
         self.overlap = on;
-    }
-
-    /// Whether the overlap scheduler is active.
-    pub fn overlap_enabled(&self) -> bool {
-        self.overlap
     }
 
     /// Hard fence: completes the cross-iteration weight scatter, writes the
@@ -548,21 +603,21 @@ impl MoeLayerEngine {
     ///
     /// Driver order:
     /// 1. survivors agree on the dead-rank set and a bumped **membership
-    ///    epoch** ([`RankCtx::agree_membership`]), exchanging
-    ///    `(completed iterations, latest popularity)` payloads;
+    ///    epoch** ([`RankCtx::agree_membership`]), exchanging their
+    ///    agreement payloads (see [`MoeLayerEngine::admit`]);
     /// 2. viability check: the shrunk world must still hold every class at
     ///    the one-replica floor ([`supports_world`] — if not, stop loudly);
     /// 3. the resume iteration is `max(completed) + 1`: the aborted
     ///    iteration is *skipped*, never re-run, so its half-delivered
-    ///    traffic can never alias the resumed protocol; everything older is
-    ///    purged from the mailbox ([`RankCtx::discard_stale_below`]);
-    /// 4. Algorithm 1 re-runs over the freshest surviving popularity and
-    ///    `total_slots` shrunk by the dead rank's slots;
-    /// 5. optimizer ownership re-shards over the survivors
-    ///    ([`SymiOptimizer::reshard`]): kept slices keep their fp32 moments,
-    ///    acquired slices are rebuilt from the freshest surviving copy with
-    ///    moments reset (exported as the `reseeded_params` gauge);
-    /// 6. the new placement is materialized from the re-sharded masters.
+    ///    traffic can never alias the resumed protocol;
+    /// 4. the shared adopt path runs: stale traffic purged, Algorithm 1
+    ///    over the freshest surviving popularity and `total_slots` shrunk
+    ///    by the dead rank's slots, optimizer ownership re-sharded over the
+    ///    survivors ([`SymiOptimizer::reshard`]: kept slices keep their
+    ///    fp32 moments, acquired slices are rebuilt from the freshest
+    ///    surviving copy with moments reset, exported as the
+    ///    `reseeded_params` gauge), and the new placement materialized from
+    ///    the re-sharded masters.
     ///
     /// On success the engine is ready for the next [`MoeLayerEngine::iteration`]
     /// call: same classes, fewer slots — degraded capacity, not a dead run.
@@ -593,21 +648,8 @@ impl MoeLayerEngine {
         .filter(|&r| r != me_phys && self.view.is_alive(r))
         .collect();
 
-        // Payload: [completed iterations, popularity length, popularity…].
-        let mut payload = vec![self.iteration, 0];
-        if let Some(pop) = self.metadata.latest(0) {
-            payload[1] = pop.len() as u64;
-            payload.extend_from_slice(pop);
-        }
-        let timeout = ctx.default_membership_timeout();
-        let (new_view, payloads) =
-            ctx.agree_membership(&self.view, &suspects, &payload, timeout)?;
-        // Namespace every post-agreement message under the new membership
-        // generation (stragglers from the aborted epoch are dropped, a
-        // later re-join of the same physical rank starts a fresh sequence
-        // space), and record the epoch's world bound in the group registry.
-        ctx.set_membership_gen(new_view.epoch());
-        ctx.groups().register_epoch(new_view.epoch(), new_view.world());
+        let (new_view, (last, _, popularity)) =
+            agree_world(ctx, &self.view, &suspects, &self.agreement_payload(), None)?;
         let dead_ranks: Vec<usize> = (0..self.view.world())
             .filter(|&r| self.view.is_alive(r) && !new_view.is_alive(r))
             .collect();
@@ -620,40 +662,56 @@ impl MoeLayerEngine {
             self.cfg.expert_classes,
         );
 
-        // Fold survivor payloads: the resume iteration skips past every
-        // survivor's last attempt, and the freshest popularity wins (ties
-        // to the lowest physical rank, so every survivor picks the same).
-        let mut resume_iter = self.iteration + 1;
-        let mut best: Option<(u64, Vec<u64>)> = None;
-        for p in payloads.iter().flatten() {
-            let it = p[0];
-            resume_iter = resume_iter.max(it + 1);
-            let len = p[1] as usize;
-            debug_assert!(p.len() >= 2 + len, "malformed recovery payload");
-            if len > 0 && best.as_ref().is_none_or(|(bi, _)| it > *bi) {
-                best = Some((it, p[2..2 + len].to_vec()));
-            }
-        }
-        let popularity = best.map(|(_, pop)| pop);
+        // The resume iteration skips past every survivor's last attempt.
+        let resume_iter = last.max(self.iteration) + 1;
+        let (report, stale_discarded) = self.adopt_world(ctx, new_view, resume_iter, popularity)?;
 
-        // Purge everything the aborted attempt (and older) left in flight:
-        // the resumed protocol starts from a clean fenced stream. An
-        // overlapped weight scatter from the old world is abandoned with
-        // it — `discard_stale_below` cancels its posted receives, and the
-        // re-sharded masters re-materialize the slots below.
+        if self.telemetry.is_enabled() {
+            self.telemetry.gauge("reseeded_params").set(report.reseeded_params as f64);
+            self.telemetry.gauge("reinitialized_params").set(report.reinitialized_params as f64);
+            self.telemetry.counter("recoveries_total").inc();
+        }
+
+        Ok(RecoveryStats {
+            membership_epoch: self.view.epoch(),
+            world_size: new_n,
+            dead_ranks,
+            resume_iteration: resume_iter,
+            stale_discarded,
+            reshard: report,
+        })
+    }
+
+    /// This rank's membership-agreement payload:
+    /// `[completed iterations, Adam step, pop_len, pop…]`.
+    fn agreement_payload(&self) -> Vec<u64> {
+        let pop = self.metadata.latest(0).unwrap_or(&[]);
+        let mut payload = vec![self.iteration, self.optimizer.adam_step_count(), pop.len() as u64];
+        payload.extend_from_slice(pop);
+        payload
+    }
+
+    /// The adopt path [`MoeLayerEngine::recover`] and
+    /// [`MoeLayerEngine::admit`] share once the members agreed on
+    /// `new_view`: purge the traffic older than `resume_iter` (an
+    /// overlapped weight scatter from the old world is abandoned with it —
+    /// `discard_stale_below` cancels its posted receives), re-run
+    /// Algorithm 1 over the new world, re-shard the optimizer onto it
+    /// (sourcing acquired slices from the freshest surviving copies on a
+    /// shrink; shed slices travel with full state on a grow), then adopt
+    /// the world and materialize the new placement from the masters.
+    /// Returns the re-shard report and the purged message count.
+    fn adopt_world(
+        &mut self,
+        ctx: &mut RankCtx,
+        new_view: MembershipView,
+        resume_iter: u64,
+        popularity: Option<Vec<u64>>,
+    ) -> Result<(ReshardReport, u64), CommError> {
         self.pending_weights = None;
         let stale_discarded = ctx.discard_stale_below(resume_iter << 5);
+        let new_placement = placement_for_world(&self.cfg, popularity.as_deref(), new_view.size());
 
-        // Algorithm 1 over the survivors: same classes, fewer slots.
-        let total = self.cfg.total_slots(new_n);
-        let counts = match &popularity {
-            Some(pop) => compute_placement(pop, total),
-            None => compute_placement(&vec![0u64; self.cfg.expert_classes], total),
-        };
-        let new_placement = ExpertPlacement::from_counts(&counts, self.cfg.slots_per_rank);
-
-        // Re-shard optimizer ownership over the survivors, sourcing the
-        // acquired slices from the freshest surviving copies.
         let local_class_weights: Vec<(usize, Vec<f32>)> = self
             .placement
             .classes_on_rank(self.lrank)
@@ -670,8 +728,7 @@ impl MoeLayerEngine {
             TagSpace::new(RECOVERY_LAYER, resume_iter),
         )?;
 
-        // Adopt the shrunk world and materialize the new placement.
-        self.lrank = new_view.logical_of(me_phys).expect("agreement keeps the caller alive");
+        self.lrank = self.optimizer.logical_rank();
         self.view = new_view;
         self.placement = new_placement;
         self.iteration = resume_iter;
@@ -682,20 +739,9 @@ impl MoeLayerEngine {
 
         if self.telemetry.is_enabled() {
             self.telemetry.gauge("membership_epoch").set(self.view.epoch() as f64);
-            self.telemetry.gauge("world_size").set(new_n as f64);
-            self.telemetry.gauge("reseeded_params").set(report.reseeded_params as f64);
-            self.telemetry.gauge("reinitialized_params").set(report.reinitialized_params as f64);
-            self.telemetry.counter("recoveries_total").inc();
+            self.telemetry.gauge("world_size").set(self.view.size() as f64);
         }
-
-        Ok(RecoveryStats {
-            membership_epoch: self.view.epoch(),
-            world_size: new_n,
-            dead_ranks,
-            resume_iteration: resume_iter,
-            stale_discarded,
-            reshard: report,
-        })
+        Ok((report, stale_discarded))
     }
 
     /// Loads every local slot of the current placement with the fp16 image
@@ -708,14 +754,7 @@ impl MoeLayerEngine {
         let tags = TagSpace::new(RECOVERY_LAYER, self.iteration);
         let shards = self.optimizer.master_weight_shards();
         let new_weights = self.optimizer.distribute_weights(ctx, &self.placement, &shards, tags)?;
-        self.slots = new_weights
-            .into_iter()
-            .map(|w| {
-                let mut e = ExpertFfn::new(self.cfg.d_model, self.cfg.d_ff, 0);
-                e.load_flat(&w);
-                e
-            })
-            .collect();
+        self.slots = new_weights.iter().map(|w| expert_with(&self.cfg, w)).collect();
         Ok(())
     }
 
@@ -732,22 +771,21 @@ impl MoeLayerEngine {
     /// 2. bootstrap the joiner ([`RankCtx::send_join_bootstrap`]): it
     ///    cannot know the current view/epoch on its own;
     /// 3. all members — joiner included — agree on the grown membership
-    ///    and a bumped epoch ([`RankCtx::agree_membership`]), survivors
-    ///    exchanging `(completed iterations, Adam step, latest popularity)`
-    ///    payloads;
-    /// 4. the membership generation bump namespaces every subsequent
-    ///    message, and the epoch's world bound is registered with the
-    ///    group registry so survivor↔joiner communicator groups resolve;
-    /// 5. Algorithm 1 re-runs over `total_slots` grown by the joiner's
-    ///    slots;
-    /// 6. optimizer ownership re-shards over `N+1` ranks
-    ///    ([`SymiOptimizer::reshard`], growing direction): shed fp32
-    ///    slices transfer to their new owners **moments and all** — a
-    ///    join never degrades optimizer state the way acquire-on-shrink
-    ///    legitimately does;
-    /// 7. the grown placement is materialized from the re-sharded masters
-    ///    (the joiner's fp16 slots arrive through the same distribute
-    ///    path every slot uses every iteration).
+    ///    and a bumped epoch ([`RankCtx::agree_membership`]), each
+    ///    contributing the payload `[completed iterations, Adam step,
+    ///    pop_len, pop…]` (the joiner a `[0, 0, 0]` placeholder that the
+    ///    fold skips); the membership generation bump namespaces every
+    ///    subsequent message, and the epoch's world bound is registered
+    ///    with the group registry so survivor↔joiner groups resolve;
+    /// 4. the shared adopt path runs, as in recovery: Algorithm 1 over
+    ///    `total_slots` grown by the joiner's slots, optimizer ownership
+    ///    re-sharded over `N+1` ranks ([`SymiOptimizer::reshard`], growing
+    ///    direction: shed fp32 slices transfer to their new owners
+    ///    **moments and all** — a join never degrades optimizer state the
+    ///    way acquire-on-shrink legitimately does), and the grown placement
+    ///    materialized from the re-sharded masters (the joiner's fp16 slots
+    ///    arrive through the same distribute path every slot uses every
+    ///    iteration).
     ///
     /// Because a boundary join aborts nothing, `resume_iteration` is the
     /// iteration the survivors were about to run anyway — zero degraded
@@ -760,21 +798,12 @@ impl MoeLayerEngine {
     pub fn admit(&mut self, ctx: &mut RankCtx, joiner: usize) -> Result<JoinStats, CommError> {
         self.assert_elastic("scale-out");
         assert!(!self.view.is_alive(joiner), "rank {joiner} is already a member");
-        let me_phys = self.view.physical_of(self.lrank);
         self.complete_pending_weights(ctx)?;
         ctx.send_join_bootstrap(joiner, &self.view)?;
 
-        // Payload: [completed iterations, Adam step, pop length, pop…].
-        let mut payload = vec![self.iteration, self.optimizer.adam_step_count(), 0];
-        if let Some(pop) = self.metadata.latest(0) {
-            payload[2] = pop.len() as u64;
-            payload.extend_from_slice(pop);
-        }
         let grown = self.view.with_joined(joiner);
-        let timeout = ctx.default_membership_timeout();
-        let (new_view, payloads) = ctx.agree_membership(&grown, &[], &payload, timeout)?;
-        ctx.set_membership_gen(new_view.epoch());
-        ctx.groups().register_epoch(new_view.epoch(), new_view.world());
+        let (new_view, (resume_iter, adam_t, popularity)) =
+            agree_world(ctx, &grown, &[], &self.agreement_payload(), Some(joiner))?;
         for r in self.view.survivors() {
             assert!(
                 new_view.is_alive(r),
@@ -784,55 +813,18 @@ impl MoeLayerEngine {
         }
         assert!(new_view.is_alive(joiner), "the agreement evicted the joiner it was admitting");
 
-        let (resume_iter, adam_t, popularity) = fold_join_payloads(&payloads, joiner);
         debug_assert_eq!(self.iteration, resume_iter, "admit must run at a clean boundary");
         debug_assert_eq!(self.optimizer.adam_step_count(), adam_t, "survivor Adam steps differ");
-
-        // Purge strictly-older traffic; the boundary iteration itself was
-        // never started, so nothing of it is in flight.
-        self.pending_weights = None;
-        let stale_discarded = ctx.discard_stale_below(resume_iter << 5);
-
-        // Algorithm 1 over the grown world: same classes, more slots.
-        let new_n = new_view.size();
-        let total = self.cfg.total_slots(new_n);
-        let counts = match &popularity {
-            Some(pop) => compute_placement(pop, total),
-            None => compute_placement(&vec![0u64; self.cfg.expert_classes], total),
-        };
-        let new_placement = ExpertPlacement::from_counts(&counts, self.cfg.slots_per_rank);
-
-        // Grow the optimizer geometry: shed slices travel with full state.
-        let cfg = self.cfg;
-        let report = self.optimizer.reshard(
-            ctx,
-            &new_view,
-            &self.placement,
-            &[],
-            &|class| Self::canonical_class_params(&cfg, class),
-            TagSpace::new(RECOVERY_LAYER, resume_iter),
-        )?;
-
-        // Adopt the grown world and materialize the new placement.
-        self.lrank = new_view.logical_of(me_phys).expect("agreement keeps the caller alive");
-        self.view = new_view;
-        self.placement = new_placement;
-        self.iteration = resume_iter;
-        if let Some(pop) = popularity {
-            self.metadata.record(0, pop);
-        }
-        self.materialize_slots(ctx)?;
+        let (report, stale_discarded) = self.adopt_world(ctx, new_view, resume_iter, popularity)?;
 
         if self.telemetry.is_enabled() {
-            self.telemetry.gauge("membership_epoch").set(self.view.epoch() as f64);
-            self.telemetry.gauge("world_size").set(new_n as f64);
             self.telemetry.gauge("transferred_params").set(report.transferred_params as f64);
             self.telemetry.counter("joins_total").inc();
         }
 
         Ok(JoinStats {
             membership_epoch: self.view.epoch(),
-            world_size: new_n,
+            world_size: self.view.size(),
             joiner,
             resume_iteration: resume_iter,
             stale_discarded,
@@ -852,11 +844,6 @@ impl MoeLayerEngine {
         cfg: EngineConfig,
         deadline: std::time::Duration,
     ) -> Result<(Self, JoinStats), CommError> {
-        assert!(
-            cfg.layer_id < RECOVERY_LAYER,
-            "layer {} collides with the recovery tag plane",
-            cfg.layer_id
-        );
         let me = ctx.rank();
         let (boot_view, first_sender) = ctx.await_join_bootstrap(deadline)?;
         assert!(boot_view.logical_of(me).is_none(), "a joiner must be new to the old view");
@@ -865,70 +852,36 @@ impl MoeLayerEngine {
         // sending the first agreement message so this rank's traffic is
         // never mistaken for a stale incarnation's.
         ctx.set_membership_gen(grown.epoch() + 1);
-        // The joiner has no history: survivors skip its placeholder payload.
-        let payload = vec![0u64, 0, 0];
-        let timeout = ctx.default_membership_timeout();
-        let (new_view, payloads) = ctx.agree_membership(&grown, &[], &payload, timeout)?;
-        ctx.groups().register_epoch(new_view.epoch(), new_view.world());
+        // The joiner has no history: the fold skips its placeholder.
+        let (new_view, (resume_iter, adam_t, popularity)) =
+            agree_world(ctx, &grown, &[], &[0, 0, 0], Some(me))?;
         // Every survivor sent a bootstrap; only the first was consumed.
         let others: Vec<usize> =
             boot_view.survivors().into_iter().filter(|&p| p != first_sender).collect();
         ctx.drain_join_bootstraps(&others)?;
 
-        let (resume_iter, adam_t, popularity) = fold_join_payloads(&payloads, me);
         ctx.discard_stale_below(resume_iter << 5);
-
-        let new_n = new_view.size();
-        let total = cfg.total_slots(new_n);
-        let counts = match &popularity {
-            Some(pop) => compute_placement(pop, total),
-            None => compute_placement(&vec![0u64; cfg.expert_classes], total),
-        };
-        let placement = ExpertPlacement::from_counts(&counts, cfg.slots_per_rank);
-
-        let param_count = Self::canonical_class_params(&cfg, 0).len();
+        let placement = placement_for_world(&cfg, popularity.as_deref(), new_view.size());
         let (optimizer, report) = SymiOptimizer::join(
             ctx,
             &boot_view,
             &new_view,
             cfg.adam,
             cfg.expert_classes,
-            param_count,
+            cfg.expert_param_count(),
             adam_t,
             TagSpace::new(RECOVERY_LAYER, resume_iter),
         )?;
-
-        let mut metadata = LayerMetadataStore::new(1, 64);
-        if let Some(pop) = &popularity {
-            metadata.record(0, pop.clone());
-        }
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x70c7);
-        let router_w = init::normal(cfg.d_model, cfg.expert_classes, 0.3, &mut rng);
-        let lrank = new_view.logical_of(me).expect("the agreement admitted this rank");
         let stats = JoinStats {
             membership_epoch: new_view.epoch(),
-            world_size: new_n,
+            world_size: new_view.size(),
             joiner: me,
             resume_iteration: resume_iter,
             stale_discarded: 0,
             reshard: report,
         };
-        let mut engine = Self {
-            cfg,
-            view: new_view,
-            lrank,
-            slots: Vec::new(),
-            placement,
-            optimizer,
-            metadata,
-            router_w,
-            iteration: resume_iter,
-            degraded_iterations: 0,
-            overlap: overlap_from_env(),
-            pending_weights: None,
-            nan_logits: 0,
-            telemetry: TelemetryHandle::disabled(),
-        };
+        let mut engine =
+            Self::assemble(cfg, Vec::new(), placement, optimizer, resume_iter, popularity);
         engine.materialize_slots(ctx)?;
         Ok((engine, stats))
     }
@@ -960,47 +913,15 @@ impl MoeLayerEngine {
     /// materialized — call [`MoeLayerEngine::materialize_slots`]
     /// collectively before the first iteration.
     pub fn from_snapshot(cfg: EngineConfig, snap: EngineSnapshot) -> Self {
-        assert!(
-            cfg.layer_id < RECOVERY_LAYER,
-            "layer {} collides with the recovery tag plane",
-            cfg.layer_id
-        );
-        let view = MembershipView::full(snap.world_size);
         let placement = ExpertPlacement::from_counts(&snap.replica_counts, cfg.slots_per_rank);
-        let param_count = Self::canonical_class_params(&cfg, 0).len();
         let optimizer = SymiOptimizer::from_shard_states(
-            view.clone(),
+            MembershipView::full(snap.world_size),
             snap.logical_rank,
             cfg.adam,
-            param_count,
+            cfg.expert_param_count(),
             snap.shards,
         );
-        let mut metadata = LayerMetadataStore::new(1, 64);
-        if let Some(pop) = &snap.popularity {
-            metadata.record(0, pop.clone());
-        }
-        let slots = placement
-            .slots_of_rank(snap.logical_rank)
-            .map(|_| ExpertFfn::new(cfg.d_model, cfg.d_ff, 0))
-            .collect();
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x70c7);
-        let router_w = init::normal(cfg.d_model, cfg.expert_classes, 0.3, &mut rng);
-        Self {
-            cfg,
-            view,
-            lrank: snap.logical_rank,
-            slots,
-            placement,
-            optimizer,
-            metadata,
-            router_w,
-            iteration: snap.iteration,
-            degraded_iterations: 0,
-            overlap: overlap_from_env(),
-            pending_weights: None,
-            nan_logits: 0,
-            telemetry: TelemetryHandle::disabled(),
-        }
+        Self::assemble(cfg, Vec::new(), placement, optimizer, snap.iteration, snap.popularity)
     }
 
     /// Backward through the local slots `locals` from their upstream
@@ -1391,11 +1312,7 @@ impl MoeLayerEngine {
             // runs Algorithm 1 at all.
             (self.placement.clone(), 0)
         } else {
-            let next_counts = compute_placement(
-                self.metadata.latest(0).expect("recorded this iteration"),
-                self.cfg.total_slots(n),
-            );
-            let p = ExpertPlacement::from_counts(&next_counts, self.cfg.slots_per_rank);
+            let p = placement_for_world(&self.cfg, self.metadata.latest(0), n);
             let churn = self.placement.diff_slots(&p);
             (p, churn)
         };
@@ -1406,24 +1323,15 @@ impl MoeLayerEngine {
         // Overlap mode leaves it in flight across the iteration boundary —
         // the receives complete under iteration i+1's routing + popularity
         // compute and the fence at the top of iteration i+1 installs the
-        // slots/placement. Sequential mode fences immediately (the blocking
-        // `distribute_weights` is exactly begin + finish, so the bytes on
-        // the wire are identical).
-        let pending_w =
+        // slots/placement. Sequential mode runs the same fence immediately
+        // (the blocking `distribute_weights` is exactly begin + finish, so
+        // the bytes on the wire are identical) and discards its stats.
+        let state =
             self.optimizer.distribute_weights_begin(ctx, &next_placement, &weight_shards, tags)?;
+        self.pending_weights = Some(PendingWeights { state, placement: next_placement });
         graph.complete(t_weight_issue);
-        if self.overlap {
-            self.pending_weights =
-                Some(PendingWeights { state: pending_w, placement: next_placement });
-        } else {
-            let (new_weights, _) = self.optimizer.distribute_weights_finish(ctx, pending_w)?;
-            {
-                let _span = tele.span(Phase::WeightComm);
-                for (local, weights) in new_weights.into_iter().enumerate() {
-                    self.slots[local].load_flat(&weights);
-                }
-            }
-            self.placement = next_placement;
+        if !self.overlap {
+            self.complete_pending_weights(ctx)?;
         }
         self.iteration += 1;
 
@@ -1471,6 +1379,7 @@ impl MoeLayerEngine {
             tele.gauge("protocol_duplicates_dropped").set(ps.duplicates_dropped as f64);
             tele.gauge("degraded_iterations").set(self.degraded_iterations as f64);
             tele.gauge("router.nan_logits").set(self.nan_logits as f64);
+            tele.gauge("optimizer_state_bytes").set(self.optimizer.state_bytes() as f64);
             if degraded {
                 tele.counter("degraded_iterations_total").inc();
             }
@@ -1800,7 +1709,8 @@ mod tests {
                 |e: &MoeLayerEngine| (0..4).map(|c| e.master_shard(c).len()).collect::<Vec<_>>();
             (shard_lens(&ds), shard_lens(&symi), ds_bytes, churn, ds.placement.clone())
         });
-        let p = ExpertFfn::new(8, 16, 0).param_count();
+        let p = cfg().expert_param_count();
+        assert_eq!(p, ExpertFfn::new(8, 16, 0).param_count(), "the count matches the expert");
         let striped = ExpertPlacement::striped(4, nodes, 2);
         for (rank, (ds_lens, symi_lens, ds_bytes, churn, placement)) in results.iter().enumerate() {
             for class in 0..4 {
@@ -1825,6 +1735,34 @@ mod tests {
     #[should_panic(expected = "does not support snapshots")]
     fn deepspeed_static_rejects_snapshots() {
         let _ = MoeLayerEngine::deepspeed_static(0, 2, cfg()).snapshot();
+    }
+
+    #[test]
+    fn fold_payloads_pins_the_agreement_rules() {
+        let payload = |it: u64, adam: u64, pop: &[u64]| {
+            let mut p = vec![it, adam, pop.len() as u64];
+            p.extend_from_slice(pop);
+            Some(p)
+        };
+        // Indexed by physical rank; rank 1 is dead and rank 5 is a joiner
+        // whose placeholder would win every rule if it were counted.
+        let payloads = vec![
+            payload(6, 8, &[1, 2]),
+            None,
+            payload(7, 6, &[3, 4]),
+            payload(7, 6, &[5, 6]),
+            payload(8, 6, &[]),
+            payload(99, 99, &[9, 9]),
+        ];
+        let (iteration, adam_t, popularity) = fold_payloads(&payloads, Some(5));
+        // The iteration and the Adam step are maxima, taken independently.
+        assert_eq!((iteration, adam_t), (8, 8));
+        // The freshest popularity wins; ranks 2 and 3 tie at iteration 7 and
+        // the lowest physical rank takes it. Rank 4 is fresher but has none.
+        assert_eq!(popularity, Some(vec![3, 4]));
+        // Without the skip the placeholder is folded like any payload.
+        assert_eq!(fold_payloads(&payloads, None), (99, 99, Some(vec![9, 9])));
+        assert_eq!(fold_payloads(&[None, payload(0, 0, &[])], None), (0, 0, None));
     }
 
     #[test]

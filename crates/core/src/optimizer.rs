@@ -454,8 +454,7 @@ impl SymiOptimizer {
     }
 
     /// Installs a telemetry handle: the three optimizer phases then time
-    /// themselves (GradComm / OptimizerStep / WeightComm spans) and report
-    /// the per-rank state footprint as a gauge.
+    /// themselves (GradComm / OptimizerStep / WeightComm spans).
     pub fn attach_telemetry(&mut self, handle: TelemetryHandle) {
         self.telemetry = handle;
     }
@@ -773,9 +772,6 @@ impl SymiOptimizer {
     pub fn step(&mut self, grad_shards: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let _span = self.telemetry.span(Phase::OptimizerStep);
         assert_eq!(grad_shards.len(), self.shards.len(), "one gradient shard per class");
-        if self.telemetry.is_enabled() {
-            self.telemetry.gauge("optimizer_state_bytes").set(self.state_bytes() as f64);
-        }
         self.shards.iter_mut().zip(grad_shards).map(|(shard, grad)| shard.step(grad)).collect()
     }
 
@@ -892,16 +888,6 @@ impl SymiOptimizer {
             slots_per_rank: new_placement.slots_per_rank(),
             retries_before,
         })
-    }
-
-    /// Nonblocking progress on an in-flight weight distribution; `true`
-    /// once every receive has landed (the fence will not block).
-    pub fn distribute_weights_poll(
-        &self,
-        ctx: &mut RankCtx,
-        pending: &mut WeightDistributePending,
-    ) -> Result<bool, CommError> {
-        pending.batch.poll(ctx)
     }
 
     /// The fence half of [`SymiOptimizer::distribute_weights`]: blocks out

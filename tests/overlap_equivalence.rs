@@ -9,6 +9,7 @@
 //! master shards, snapshots) must match it exactly on a multi-rank
 //! cluster whose placement actually rebalances.
 
+use std::sync::Arc;
 use symi::{EngineConfig, EngineSnapshot, MoeLayerEngine};
 use symi_collectives::{Cluster, ClusterSpec};
 use symi_telemetry::ClusterTelemetry;
@@ -188,21 +189,30 @@ fn drain_is_idempotent_and_lands_the_pending_placement() {
 
 #[test]
 fn overlap_telemetry_attributes_hidden_bytes() {
-    let telemetry = ClusterTelemetry::new(NODES);
-    let tele = telemetry.clone();
-    let (_, _) = Cluster::run(ClusterSpec::flat(NODES), move |ctx| {
-        let mut engine = MoeLayerEngine::new(ctx.rank(), NODES, cfg());
-        engine.set_overlap(true);
-        engine.attach_telemetry(tele.handle(ctx.rank()));
-        let x = tokens(ctx.rank());
-        let target = Matrix::zeros(T_LOC, D);
-        for _ in 0..4 {
-            engine.iteration(ctx, &x, &target).unwrap();
-        }
-        engine.drain(ctx).unwrap();
-    });
+    let run_mode = |overlap: bool| {
+        let telemetry = ClusterTelemetry::new(NODES);
+        let tele = telemetry.clone();
+        let (_, _) = Cluster::run(ClusterSpec::flat(NODES), move |ctx| {
+            let mut engine = MoeLayerEngine::new(ctx.rank(), NODES, cfg());
+            engine.set_overlap(overlap);
+            engine.attach_telemetry(tele.handle(ctx.rank()));
+            let x = tokens(ctx.rank());
+            let target = Matrix::zeros(T_LOC, D);
+            for _ in 0..4 {
+                engine.iteration(ctx, &x, &target).unwrap();
+            }
+            engine.drain(ctx).unwrap();
+        });
+        telemetry
+    };
+    let telemetry = run_mode(true);
     let json = telemetry.registry().snapshot().to_string();
     for gauge in ["overlap_hidden_bytes", "overlap_exposed_bytes", "overlap_exposed_ms"] {
         assert!(json.contains(gauge), "telemetry must carry `{gauge}`: {json}");
     }
+    // Both schedules publish the same optimizer-state footprint.
+    let state_bytes = |t: &Arc<ClusterTelemetry>| t.handle(0).gauge("optimizer_state_bytes").get();
+    let sequential = state_bytes(&run_mode(false));
+    assert!(sequential > 0.0, "the sequential schedule must publish optimizer_state_bytes");
+    assert_eq!(state_bytes(&telemetry), sequential, "overlap must publish the same value");
 }
