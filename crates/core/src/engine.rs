@@ -35,16 +35,15 @@
 
 use crate::metadata::LayerMetadataStore;
 use crate::optimizer::{ReshardReport, ShardState, SymiOptimizer, WeightDistributePending};
-use crate::placement::ExpertPlacement;
 use crate::scheduler::{compute_placement, supports_world};
-use crate::taskgraph::TaskGraph;
 use std::time::Instant;
 use symi_collectives::hier::ReduceMode;
 use symi_collectives::{
     CommError, MembershipView, OverlapStats, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
 };
 use symi_model::expert::ExpertFfn;
-use symi_netsim::ShardScope;
+use symi_model::router::top_k_nan_last;
+use symi_netsim::{ExpertPlacement, ShardScope, TaskGraph};
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::StdRng;
@@ -1000,21 +999,21 @@ impl MoeLayerEngine {
         // previous iteration's weight scatter may land under them, but the
         // fence MUST close before dispatch touches either.
         let mut graph = TaskGraph::new();
-        let t_route = graph.task("route", &[]);
-        let t_pop = graph.task("popularity_sync", &[t_route]);
-        let t_fence = graph.task("weight_fence", &[]);
-        let t_dispatch = graph.task("dispatch", &[t_route, t_fence]);
-        let t_forward = graph.task("expert_forward", &[t_dispatch]);
-        let t_combine = graph.task("combine", &[t_forward]);
-        let t_grad_dispatch = graph.task("grad_dispatch", &[t_combine]);
-        let t_grad_issue = graph.task("grad_collect_issue", &[t_grad_dispatch]);
-        let t_backward = graph.task("backward", &[t_grad_dispatch]);
-        let t_grad_sync = graph.task("grad_sync", &[t_backward]);
-        let t_grad_serve = graph.task("grad_serve", &[t_grad_sync, t_grad_issue]);
-        let t_step = graph.task("adam_step", &[t_grad_issue, t_grad_serve]);
-        let t_rebalance = graph.task("rebalance", &[t_pop, t_step]);
-        let t_weight_issue = graph.task("weight_issue", &[t_rebalance, t_step]);
-        let t_advisory = graph.task("advisory_sync", &[t_weight_issue]);
+        let t_route = graph.add("route", 0.0, &[]);
+        let t_pop = graph.add("popularity_sync", 0.0, &[t_route]);
+        let t_fence = graph.add("weight_fence", 0.0, &[]);
+        let t_dispatch = graph.add("dispatch", 0.0, &[t_route, t_fence]);
+        let t_forward = graph.add("expert_forward", 0.0, &[t_dispatch]);
+        let t_combine = graph.add("combine", 0.0, &[t_forward]);
+        let t_grad_dispatch = graph.add("grad_dispatch", 0.0, &[t_combine]);
+        let t_grad_issue = graph.add("grad_collect_issue", 0.0, &[t_grad_dispatch]);
+        let t_backward = graph.add("backward", 0.0, &[t_grad_dispatch]);
+        let t_grad_sync = graph.add("grad_sync", 0.0, &[t_backward]);
+        let t_grad_serve = graph.add("grad_serve", 0.0, &[t_grad_sync, t_grad_issue]);
+        let t_step = graph.add("adam_step", 0.0, &[t_grad_issue, t_grad_serve]);
+        let t_rebalance = graph.add("rebalance", 0.0, &[t_pop, t_step]);
+        let t_weight_issue = graph.add("weight_issue", 0.0, &[t_rebalance, t_step]);
+        let t_advisory = graph.add("advisory_sync", 0.0, &[t_weight_issue]);
 
         // ---- Step 1: route locally, aggregate popularity globally. ----
         let routing_span = tele.span(Phase::Routing);
@@ -1023,25 +1022,17 @@ impl MoeLayerEngine {
         let mut assignment = Vec::with_capacity(t_loc);
         let mut gates = Vec::with_capacity(t_loc);
         let mut popularity = vec![0u64; e];
+        let mut pick = Vec::with_capacity(1);
         for t in 0..t_loc {
             let row = probs.row(t);
-            // NaN-last argmax: a NaN probability (softmax of an inf/NaN
-            // logit) must not panic the iteration — it loses to every
-            // finite entry and is counted into the `router.nan_logits`
-            // gauge so the numeric trouble upstream stays loud.
+            // Top-1 with the Router's rule: NaN probabilities route last
+            // and are counted into the `router.nan_logits` gauge, so the
+            // numeric trouble upstream stays loud.
             self.nan_logits += row.iter().filter(|p| p.is_nan()).count() as u64;
-            let (best, &p) = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| match (a.1.is_nan(), b.1.is_nan()) {
-                    (true, true) => std::cmp::Ordering::Equal,
-                    (true, false) => std::cmp::Ordering::Less,
-                    (false, true) => std::cmp::Ordering::Greater,
-                    (false, false) => a.1.partial_cmp(b.1).expect("both finite"),
-                })
-                .expect("at least one class");
+            top_k_nan_last(row, 1, &mut pick);
+            let best = pick[0];
             assignment.push(best);
-            gates.push(p);
+            gates.push(row[best]);
             popularity[best] += 1;
         }
         drop(routing_span);

@@ -16,8 +16,10 @@
 //!   pluggable into any trainer.
 //! - [`metadata`] — the Layer Metadata Store holding the globally
 //!   consistent per-iteration popularity counters.
-//! - [`placement`] — the expert-placement data model: slot↔class maps,
-//!   per-class host-rank ranges, communicator-group handles.
+//! - [`ExpertPlacement`] — the expert-placement data model: slot↔class
+//!   maps and per-class host ranks. It lives in `symi-netsim`, so the cost
+//!   model prices the same type the engine executes, and is re-exported
+//!   here.
 //! - [`optimizer`] — the SYMI Optimizer: per-node [`symi_tensor::AdamShard`]s
 //!   covering a uniform `1/N` slice of *every* expert, the
 //!   gradient-collection schedule of Algorithm 2 (locality-first,
@@ -33,10 +35,8 @@
 pub mod engine;
 pub mod metadata;
 pub mod optimizer;
-pub mod placement;
 pub mod policies;
 pub mod scheduler;
-pub mod taskgraph;
 
 pub use engine::{
     EngineConfig, EngineSnapshot, IterStats, JoinStats, MoeLayerEngine, RecoveryStats,
@@ -45,7 +45,6 @@ pub use metadata::LayerMetadataStore;
 pub use optimizer::{
     GradCollectPending, ReshardReport, ShardState, SymiOptimizer, WeightDistributePending,
 };
-pub use placement::ExpertPlacement;
 pub use policies::{EmaPolicy, TracePolicy, WindowMaxPolicy};
 pub use scheduler::{compute_placement, supports_world, valid_replica_counts, SymiPolicy};
-pub use taskgraph::{TaskGraph, TaskId};
+pub use symi_netsim::ExpertPlacement;

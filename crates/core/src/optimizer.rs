@@ -32,7 +32,6 @@
 //! a non-owner holds a zero-length shard and never touches the wire for
 //! that class. Re-sharding (and so elasticity) stays cluster-scoped.
 
-use crate::placement::ExpertPlacement;
 use symi_collectives::coll::chunk_range;
 use symi_collectives::p2p::{OverlapStats, PendingBatch, RecvOp, SendOp};
 use symi_collectives::tag::with_step;
@@ -40,7 +39,7 @@ use symi_collectives::{
     decode_f16_into, encode_f16, CommError, MembershipView, PendingRecv, RankCtx, TagSpace,
     WirePhase,
 };
-use symi_netsim::ShardScope;
+use symi_netsim::{ExpertPlacement, ShardScope};
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::{AdamConfig, AdamShard};
 
@@ -685,13 +684,14 @@ impl SymiOptimizer {
     /// returns the shard if it is already available (local copy made, or
     /// the wire payload arrived while compute ran), `None` if still in
     /// flight or not yet served. The shard is staged host-side exactly as
-    /// the blocking path stages it.
+    /// the blocking path stages it, under the same telemetry phase.
     pub fn collect_grads_try_take(
         &self,
         ctx: &mut RankCtx,
         pending: &mut GradCollectPending,
         class: usize,
     ) -> Result<Option<Vec<f32>>, CommError> {
+        let _span = self.telemetry.span(self.collect_phase());
         match std::mem::replace(&mut pending.sources[class], GradSource::Taken) {
             GradSource::Taken => panic!("class {class} gradient shard taken twice"),
             GradSource::AwaitLocal => {

@@ -5,7 +5,8 @@
 //! corrected so the total exactly fills the `G × S` expert slots. The
 //! correction removes replicas from the classes with the largest positive
 //! rounding surplus and adds to those with the largest deficit. Instances
-//! are finally assigned to slots *contiguously*, which (a) packs replicas
+//! are finally assigned to slots *contiguously*
+//! ([`crate::ExpertPlacement::from_counts`]), which (a) packs replicas
 //! of one class onto as few ranks as possible — feeding the intra+inter
 //! rank all-reduce of §4.1 — and (b) guarantees every EDP communicator is a
 //! contiguous rank range, enabling §4.2's pre-registered groups.
@@ -89,16 +90,6 @@ pub fn valid_replica_counts(counts: &[usize], total_slots: usize) -> bool {
         && counts.iter().sum::<usize>() == total_slots
 }
 
-/// Expands replica counts into the contiguous slot assignment
-/// (`slot → class`), exactly Algorithm 1's final loop.
-pub fn contiguous_assignment(counts: &[usize]) -> Vec<usize> {
-    let mut slots = Vec::with_capacity(counts.iter().sum());
-    for (class, &c) in counts.iter().enumerate() {
-        slots.extend(std::iter::repeat_n(class, c));
-    }
-    slots
-}
-
 /// The paper's placement policy: next iteration's replication mimics the
 /// popularity observed in the *previous* iteration (§3.4 — reshuffling
 /// between router assignment and dispatch would be prohibitive, and the
@@ -176,8 +167,8 @@ mod tests {
 
     #[test]
     fn assignment_is_contiguous_and_ordered() {
-        let counts = vec![3usize, 1, 2];
-        let slots = contiguous_assignment(&counts);
+        let placement = crate::ExpertPlacement::from_counts(&[3, 1, 2], 1);
+        let slots: Vec<usize> = (0..6).map(|k| placement.class_of_slot(k)).collect();
         assert_eq!(slots, vec![0, 0, 0, 1, 2, 2]);
     }
 

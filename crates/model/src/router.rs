@@ -33,6 +33,38 @@ impl Routing {
     }
 }
 
+/// Writes the indices of `row`'s `k` largest entries into `picks`, best
+/// first — the routing decision for one token.
+///
+/// NaN ranks below every number, so a NaN probability (softmax of an
+/// inf/NaN logit) never panics routing and loses to every finite entry.
+/// Ties go to the lower index: the result is the first `k` of a stable
+/// descending sort, found with `k` linear scans.
+///
+/// ```
+/// use symi_model::router::top_k_nan_last;
+///
+/// let mut picks = Vec::new();
+/// top_k_nan_last(&[0.2, f32::NAN, 0.5, 0.5], 2, &mut picks);
+/// assert_eq!(picks, vec![2, 3]);
+/// top_k_nan_last(&[f32::NAN, f32::NAN], 1, &mut picks);
+/// assert_eq!(picks, vec![0]);
+/// ```
+pub fn top_k_nan_last(row: &[f32], k: usize, picks: &mut Vec<usize>) {
+    assert!(k <= row.len(), "cannot pick {k} of {} classes", row.len());
+    let beats = |a: f32, b: f32| !a.is_nan() && (b.is_nan() || a > b);
+    picks.clear();
+    for _ in 0..k {
+        let mut best: Option<usize> = None;
+        for c in (0..row.len()).filter(|c| !picks.contains(c)) {
+            if best.is_none_or(|b| beats(row[c], row[b])) {
+                best = Some(c);
+            }
+        }
+        picks.push(best.expect("k <= row.len()"));
+    }
+}
+
 /// Linear router: logits = `x · Wr`.
 pub struct Router {
     pub w: Matrix,
@@ -102,21 +134,12 @@ impl Router {
         self.cached_top1.clear();
         for r in 0..t {
             let row = self.cached_probs.row(r);
-            // NaN-last descending sort: a NaN probability (softmax of an
-            // inf/NaN logit) must not panic routing — it loses to every
-            // finite entry and is tallied for the `router.nan_logits`
-            // gauge instead.
+            // NaN probabilities route last and are tallied for the
+            // `router.nan_logits` gauge.
             self.nan_logits += row.iter().filter(|p| p.is_nan()).count() as u64;
-            self.scratch_order.clear();
-            self.scratch_order.extend(0..e);
-            self.scratch_order.sort_by(|&a, &b| match (row[a].is_nan(), row[b].is_nan()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                (false, false) => row[b].partial_cmp(&row[a]).expect("both finite"),
-            });
+            top_k_nan_last(row, k, &mut self.scratch_order);
             let picks: Vec<(usize, f32)> =
-                self.scratch_order[..k].iter().map(|&c| (c, row[c])).collect();
+                self.scratch_order.iter().map(|&c| (c, row[c])).collect();
             self.cached_top1.push(picks[0].0);
             for &(c, _) in &picks {
                 popularity[c] += 1;
@@ -343,5 +366,30 @@ mod tests {
         let routing2 = r2.forward(&x2);
         assert_eq!(r2.nan_logits(), 3, "the inf logit must surface in the counter");
         assert_eq!(routing2.assignment[0].len(), 1, "the token still routes");
+    }
+
+    #[test]
+    fn top_k_matches_a_stable_nan_last_sort() {
+        use symi_tensor::rng::Rng;
+        // The selection must equal the first k of a stable descending sort
+        // with NaN last, on rows with ties, NaNs and signed zeros.
+        let values = [0.5f32, 0.25, 0.5, f32::NAN, 0.0, -0.0, 1.0];
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut picks = Vec::new();
+        for _ in 0..500 {
+            let e = rng.gen_range(1..7usize);
+            let row: Vec<f32> = (0..e).map(|_| values[rng.gen_range(0..values.len())]).collect();
+            let mut order: Vec<usize> = (0..e).collect();
+            order.sort_by(|&a, &b| match (row[a].is_nan(), row[b].is_nan()) {
+                (true, true) => std::cmp::Ordering::Equal,
+                (true, false) => std::cmp::Ordering::Greater,
+                (false, true) => std::cmp::Ordering::Less,
+                (false, false) => row[b].partial_cmp(&row[a]).expect("both finite"),
+            });
+            for k in 1..=e {
+                top_k_nan_last(&row, k, &mut picks);
+                assert_eq!(picks, order[..k], "row {row:?}, k = {k}");
+            }
+        }
     }
 }

@@ -1,66 +1,47 @@
-//! A small deterministic task-graph simulator.
+//! The task graph of a training iteration.
 //!
-//! Latency phases of a training iteration form a DAG (per-rank work joins at
-//! collective barriers, phases chain serially). [`TaskGraph`] schedules such
-//! a DAG under infinite parallelism — every task starts the moment its
-//! dependencies finish — which is the right abstraction once contention is
-//! already folded into task durations (as the α–β collective costs do).
-//! It reports finish times, the makespan, the critical path, and a
-//! per-category breakdown along that path (Figure 12's latency breakdown).
+//! The phases of an iteration form a DAG: per-rank work joins at collective
+//! barriers, the weight fence gates dispatch, a class's Adam step waits for
+//! its gradient shard. [`TaskGraph`] is the one description of that DAG,
+//! and it serves two clients:
+//!
+//! - The runtime engine declares each iteration's tasks (with zero
+//!   duration) and marks them complete as the work actually happens.
+//!   [`TaskGraph::complete`] panics when a task completes before one of its
+//!   dependencies, or twice, so the overlap scheduler cannot silently cross
+//!   a fence in a refactor. It costs a few `Vec` reads per iteration, which
+//!   is noise next to a GEMM.
+//! - The cost model gives tasks durations and [`TaskGraph::schedule`]s
+//!   them under infinite parallelism — every task starts the moment its
+//!   dependencies finish — which is the right abstraction once contention
+//!   is already folded into task durations (as the α–β collective costs
+//!   do). It reports finish times, the makespan, the critical path, and a
+//!   per-name breakdown along that path (Figure 12's latency breakdown).
 
 use std::collections::HashMap;
-use std::fmt;
 
 /// Opaque handle to a task in a [`TaskGraph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TaskId(usize);
 
-/// Rejected [`TaskGraph::try_add`] insertion.
-///
-/// `schedule` computes finish times in one pass over insertion order, so a
-/// dependency on a not-yet-inserted task would silently read a finish time
-/// of 0.0 and produce a bogus makespan — insertions are validated instead.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum GraphError {
-    /// Duration was NaN, infinite, or negative.
-    BadDuration { duration: f64 },
-    /// A dependency referenced `task` itself or a task not yet inserted.
-    ForwardDependency { dep: TaskId, task: TaskId },
-}
-
-impl fmt::Display for GraphError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GraphError::BadDuration { duration } => {
-                write!(f, "duration {duration} must be finite and >= 0")
-            }
-            GraphError::ForwardDependency { dep, task } => {
-                write!(f, "dependency {dep:?} must precede task {task:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GraphError {}
-
 #[derive(Clone, Debug)]
 struct Task {
-    /// Index into [`TaskGraph::categories`] — categories are interned so a
-    /// 4k-rank sweep's graphs don't clone a `String` per task per query.
-    category: u32,
+    name: &'static str,
     duration: f64,
     deps: Vec<TaskId>,
+    done: bool,
 }
 
-/// A DAG of fixed-duration tasks.
+/// A DAG of named, fixed-duration tasks.
+///
+/// Dependencies must already exist when a task is added, which makes
+/// cycles unrepresentable and hands out ids in topological order.
 #[derive(Clone, Debug, Default)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
-    categories: Vec<String>,
-    category_index: HashMap<String, u32>,
 }
 
-/// Finish times of a scheduled graph.
+/// Start and finish times of a scheduled graph.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     start: Vec<f64>,
@@ -72,71 +53,49 @@ impl TaskGraph {
         Self::default()
     }
 
-    /// Adds a task. Dependencies must already exist (ids are handed out in
-    /// topological order by construction).
+    /// Adds a task that may start only after every task in `deps` has
+    /// finished.
     ///
     /// # Panics
-    /// Panics on negative/NaN durations or forward-referencing deps; use
-    /// [`TaskGraph::try_add`] for a typed error instead.
-    pub fn add(&mut self, category: impl Into<String>, duration: f64, deps: &[TaskId]) -> TaskId {
-        match self.try_add(category, duration, deps) {
-            Ok(id) => id,
-            Err(GraphError::BadDuration { .. }) => {
-                panic!("duration must be finite and >= 0")
-            }
-            Err(GraphError::ForwardDependency { dep, task }) => {
-                panic!("dependency {:?} must precede task {:?}", dep, task)
-            }
-        }
-    }
-
-    /// Adds a task, validating topological order at insertion.
-    pub fn try_add(
-        &mut self,
-        category: impl Into<String>,
-        duration: f64,
-        deps: &[TaskId],
-    ) -> Result<TaskId, GraphError> {
-        if !(duration.is_finite() && duration >= 0.0) {
-            return Err(GraphError::BadDuration { duration });
-        }
+    /// Panics on a negative or non-finite duration, and on a dependency
+    /// that is not yet in the graph.
+    pub fn add(&mut self, name: &'static str, duration: f64, deps: &[TaskId]) -> TaskId {
+        assert!(duration.is_finite() && duration >= 0.0, "duration must be finite and >= 0");
         let id = TaskId(self.tasks.len());
-        for &d in deps {
-            if d.0 >= id.0 {
-                return Err(GraphError::ForwardDependency { dep: d, task: id });
-            }
+        for &dep in deps {
+            assert!(dep.0 < id.0, "dependency {dep:?} must precede task {id:?}");
         }
-        let category = self.intern(category.into());
-        self.tasks.push(Task { category, duration, deps: deps.to_vec() });
-        Ok(id)
+        self.tasks.push(Task { name, duration, deps: deps.to_vec(), done: false });
+        id
     }
 
-    fn intern(&mut self, name: String) -> u32 {
-        if let Some(&i) = self.category_index.get(&name) {
-            return i;
+    /// Marks `id` complete.
+    ///
+    /// # Panics
+    /// Panics if a dependency has not completed, or if `id` already has —
+    /// the caller's schedule violated the declared order.
+    pub fn complete(&mut self, id: TaskId) {
+        let task = &self.tasks[id.0];
+        for dep in &task.deps {
+            let dep = &self.tasks[dep.0];
+            assert!(
+                dep.done,
+                "task '{}' completed before its dependency '{}'",
+                task.name, dep.name
+            );
         }
-        let i = u32::try_from(self.categories.len()).expect("fewer than 2^32 categories");
-        self.category_index.insert(name.clone(), i);
-        self.categories.push(name);
-        i
+        assert!(!task.done, "task '{}' completed twice", task.name);
+        self.tasks[id.0].done = true;
     }
 
-    /// The category a task was inserted under (borrowed, not cloned).
-    pub fn category(&self, id: TaskId) -> &str {
-        &self.categories[self.tasks[id.0].category as usize]
+    /// Whether every task has completed.
+    pub fn all_complete(&self) -> bool {
+        self.tasks.iter().all(|t| t.done)
     }
 
-    /// Distinct categories interned so far.
-    pub fn num_categories(&self) -> usize {
-        self.categories.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+    /// Names of the tasks not yet completed, for diagnostics.
+    pub fn outstanding(&self) -> Vec<&'static str> {
+        self.tasks.iter().filter(|t| !t.done).map(|t| t.name).collect()
     }
 
     /// Computes start/finish times: `start = max(finish(deps))`,
@@ -182,24 +141,15 @@ impl TaskGraph {
         path
     }
 
-    /// Sums task durations per category along the critical path — the
-    /// latency breakdown of the makespan. Accumulates over interned
-    /// category ids, cloning one `String` per *distinct* category in the
-    /// result rather than one per task.
-    pub fn breakdown(&self, schedule: &Schedule) -> HashMap<String, f64> {
-        let mut by_cat = vec![0.0f64; self.categories.len()];
-        let mut seen = vec![false; self.categories.len()];
+    /// Sums task durations per name along the critical path — the latency
+    /// breakdown of the makespan.
+    pub fn breakdown(&self, schedule: &Schedule) -> HashMap<&'static str, f64> {
+        let mut by_name = HashMap::new();
         for id in self.critical_path(schedule) {
             let t = &self.tasks[id.0];
-            by_cat[t.category as usize] += t.duration;
-            seen[t.category as usize] = true;
+            *by_name.entry(t.name).or_insert(0.0) += t.duration;
         }
-        self.categories
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| seen[i])
-            .map(|(i, name)| (name.clone(), by_cat[i]))
-            .collect()
+        by_name
     }
 }
 
@@ -295,49 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn try_add_reports_typed_errors() {
-        let mut g = TaskGraph::new();
-        let a = g.try_add("a", 1.0, &[]).expect("valid");
-        // Forward and self references are rejected with the offending ids.
-        assert_eq!(
-            g.try_add("b", 1.0, &[TaskId(7)]),
-            Err(GraphError::ForwardDependency { dep: TaskId(7), task: TaskId(1) })
-        );
-        assert!(matches!(
-            g.try_add("b", f64::NAN, &[a]),
-            Err(GraphError::BadDuration { duration }) if duration.is_nan()
-        ));
-        assert!(g.try_add("b", -1.0, &[a]).is_err());
-        assert!(g.try_add("b", f64::INFINITY, &[a]).is_err());
-        // Rejected insertions must not have grown the graph.
-        assert_eq!(g.len(), 1);
-        let b = g.try_add("b", 2.0, &[a]).expect("valid");
-        assert_eq!(g.schedule().finish(b), 3.0);
-        let err = GraphError::ForwardDependency { dep: TaskId(7), task: TaskId(1) };
-        assert!(err.to_string().contains("must precede"));
-    }
-
-    #[test]
     #[should_panic(expected = "duration must be finite and >= 0")]
     fn negative_duration_rejected() {
         let mut g = TaskGraph::new();
         let _ = g.add("a", -0.5, &[]);
-    }
-
-    #[test]
-    fn categories_are_interned_once() {
-        let mut g = TaskGraph::new();
-        let a = g.add("comm", 1.0, &[]);
-        let b = g.add("compute", 2.0, &[a]);
-        let c = g.add("comm", 3.0, &[b]);
-        assert_eq!(g.num_categories(), 2, "repeated categories share one entry");
-        assert_eq!(g.category(a), "comm");
-        assert_eq!(g.category(c), "comm");
-        let s = g.schedule();
-        let bd = g.breakdown(&s);
-        assert_eq!(bd.len(), 2);
-        assert_eq!(bd["comm"], 4.0);
-        assert_eq!(bd["compute"], 2.0);
     }
 
     #[test]
@@ -347,5 +258,52 @@ mod tests {
         let b = g.add("b", 1.0, &[a]);
         let s = g.schedule();
         assert_eq!(s.finish(b), 1.0);
+    }
+
+    #[test]
+    fn in_order_completion_succeeds() {
+        let mut g = TaskGraph::new();
+        let a = g.add("route", 0.0, &[]);
+        let b = g.add("dispatch", 0.0, &[a]);
+        let c = g.add("ffn", 0.0, &[b]);
+        g.complete(a);
+        g.complete(b);
+        assert!(!g.all_complete());
+        assert_eq!(g.outstanding(), vec!["ffn"]);
+        g.complete(c);
+        assert!(g.all_complete());
+    }
+
+    #[test]
+    fn diamond_allows_any_interleaving_of_independent_tasks() {
+        let mut g = TaskGraph::new();
+        let root = g.add("root", 0.0, &[]);
+        let left = g.add("left", 0.0, &[root]);
+        let right = g.add("right", 0.0, &[root]);
+        let join = g.add("join", 0.0, &[left, right]);
+        g.complete(root);
+        // Independent branches may finish in either order.
+        g.complete(right);
+        g.complete(left);
+        g.complete(join);
+        assert!(g.all_complete());
+    }
+
+    #[test]
+    #[should_panic(expected = "before its dependency")]
+    fn out_of_order_completion_panics() {
+        let mut g = TaskGraph::new();
+        let a = g.add("weight_fence", 0.0, &[]);
+        let b = g.add("slot_write", 0.0, &[a]);
+        g.complete(b);
+    }
+
+    #[test]
+    #[should_panic(expected = "completed twice")]
+    fn double_completion_panics() {
+        let mut g = TaskGraph::new();
+        let a = g.add("step", 0.0, &[]);
+        g.complete(a);
+        g.complete(a);
     }
 }

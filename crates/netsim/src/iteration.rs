@@ -12,8 +12,7 @@
 //! placement (contiguous slot assignment, as Algorithm 1 produces).
 
 use crate::costmodel::{CommCostModel, ShardScope, TierPhase, TieredCostModel};
-use crate::event::TaskGraph;
-use crate::placement::SlotPlacement;
+use crate::placement::ExpertPlacement;
 use crate::topology::{HardwareSpec, ModelCostConfig, Topology};
 
 /// Which system's iteration to simulate.
@@ -168,17 +167,10 @@ impl IterationSim {
         // ranks (it has no intra-rank EDP, §4.1); FlexMoE likewise spreads
         // replicas across ranks, greedily.
         let placement = self.placement(replicas_per_class, system);
-        debug_assert_eq!(placement.total_slots(), self.total_slots());
 
         // Per-class distinct host ranks (EDP ring sizes) and per-rank load.
-        let host_ranks = placement.host_ranks(e);
-        let rank_classes = placement.rank_classes(e);
-        let mut rank_tokens = vec![0.0f64; n];
-        for slot in 0..placement.total_slots() {
-            let class = placement.class_of_slot(slot);
-            rank_tokens[placement.rank_of_slot(slot)] +=
-                survived[class] / replicas_per_class[class] as f64;
-        }
+        let (host_ranks, rank_classes, rank_tokens) =
+            Self::load(&placement, &survived, replicas_per_class);
         let ranks_hosting: Vec<usize> = host_ranks.iter().map(Vec::len).collect();
         let static_ring = self.total_slots() / e;
 
@@ -317,42 +309,22 @@ impl IterationSim {
             + coupled_opt_on_gpu
             + migration_transient;
 
-        // ---- Assemble the iteration as a serial task chain and read the
-        // breakdown back from the graph (keeps the graph machinery honest).
-        let phases: [(&'static str, f64); 11] = [
-            ("dense_fwd", dense_fwd),
-            ("router_meta", router_meta),
-            ("a2a_fwd", a2a_fwd),
-            ("expert_fwd", expert_fwd),
-            ("dense_bwd", dense_bwd),
-            ("a2a_bwd", a2a_bwd),
-            ("expert_bwd", expert_bwd),
-            ("edp_sync", edp_sync),
-            ("grad_comm", grad_comm),
-            ("opt_step", opt_step),
-            ("weight_comm", weight_comm),
+        let mut components = vec![
+            Component { name: "dense_fwd", seconds: dense_fwd },
+            Component { name: "router_meta", seconds: router_meta },
+            Component { name: "a2a_fwd", seconds: a2a_fwd },
+            Component { name: "expert_fwd", seconds: expert_fwd },
+            Component { name: "dense_bwd", seconds: dense_bwd },
+            Component { name: "a2a_bwd", seconds: a2a_bwd },
+            Component { name: "expert_bwd", seconds: expert_bwd },
+            Component { name: "edp_sync", seconds: edp_sync },
+            Component { name: "grad_comm", seconds: grad_comm },
+            Component { name: "opt_step", seconds: opt_step },
+            Component { name: "weight_comm", seconds: weight_comm },
         ];
-        let mut graph = TaskGraph::new();
-        let mut prev = None;
-        for (name, dur) in phases {
-            let deps: Vec<_> = prev.into_iter().collect();
-            prev = Some(graph.add(name, dur, &deps));
-        }
-        if migration > 0.0 {
-            let deps: Vec<_> = prev.into_iter().collect();
-            prev = Some(graph.add("migration", migration, &deps));
-        }
-        let schedule = graph.schedule();
-        let _ = prev;
-
-        let mut components: Vec<Component> =
-            phases.iter().map(|&(name, seconds)| Component { name, seconds }).collect();
         if migration > 0.0 {
             components.push(Component { name: "migration", seconds: migration });
         }
-        debug_assert!(
-            (schedule.makespan() - components.iter().map(|c| c.seconds).sum::<f64>()).abs() < 1e-9
-        );
 
         IterationBreakdown {
             components,
@@ -363,18 +335,40 @@ impl IterationSim {
     }
 
     /// The slot placement each system's scheduler would produce.
-    pub fn placement(&self, replicas_per_class: &[usize], system: SimSystem) -> SlotPlacement {
+    pub fn placement(&self, replicas_per_class: &[usize], system: SimSystem) -> ExpertPlacement {
         match system {
             SimSystem::Symi => {
-                SlotPlacement::symi_contiguous(replicas_per_class, self.slots_per_rank)
+                ExpertPlacement::from_counts(replicas_per_class, self.slots_per_rank)
             }
             SimSystem::DeepSpeedStatic => {
-                SlotPlacement::striped(self.expert_classes, self.nodes, self.slots_per_rank)
+                ExpertPlacement::striped(self.expert_classes, self.nodes, self.slots_per_rank)
             }
             SimSystem::FlexMoE => {
-                SlotPlacement::greedy_spread(replicas_per_class, self.nodes, self.slots_per_rank)
+                ExpertPlacement::greedy_spread(replicas_per_class, self.nodes, self.slots_per_rank)
             }
         }
+    }
+
+    /// What both simulators read off a placement: each class's distinct
+    /// host ranks (its EDP group), each rank's hosted classes in slot
+    /// order, and each rank's share of the surviving tokens, split evenly
+    /// over the class's `replicas_per_class` replicas.
+    fn load(
+        placement: &ExpertPlacement,
+        survived: &[f64],
+        replicas_per_class: &[usize],
+    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<f64>) {
+        let host_ranks = (0..placement.expert_classes()).map(|c| placement.host_ranks(c)).collect();
+        let rank_classes = (0..placement.ranks())
+            .map(|r| placement.classes_on_rank(r).into_iter().map(|(c, _)| c).collect())
+            .collect();
+        let mut rank_tokens = vec![0.0f64; placement.ranks()];
+        for slot in 0..placement.total_slots() {
+            let class = placement.class_of_slot(slot);
+            rank_tokens[placement.rank_of_slot(slot)] +=
+                survived[class] / replicas_per_class[class] as f64;
+        }
+        (host_ranks, rank_classes, rank_tokens)
     }
 
     /// Simulates one iteration on a hierarchical topology, pricing every
@@ -386,9 +380,15 @@ impl IterationSim {
     /// variant of Appendix A.1. It is ignored for the coupled baselines,
     /// whose shard lives inside the EDP group by construction.
     ///
-    /// The flat [`IterationSim::simulate`] remains the 16-rank oracle; on a
-    /// single-tier [`Topology::flat`] with zero latency the two agree on the
-    /// phases they price identically (see tests).
+    /// This is not the flat [`IterationSim::simulate`] generalized: the two
+    /// model SYMI's grad phase differently. The flat simulator prices
+    /// Algorithm 2 — after the EDP sync each rank fetches one shard per
+    /// class it does not host — while this one prices §3.3's shard
+    /// exchange, in which every instance sends `(sN−s)/N · G`. Even on a
+    /// single-tier [`Topology::flat`] they differ (paper-eval GPT-Small,
+    /// uniform load: SYMI's `grad_comm` is 12.0 ms flat and 39.3 ms here).
+    /// They agree component for component only where both price the same
+    /// formula, e.g. DeepSpeed at zero latency (see tests).
     pub fn simulate_hier(
         &self,
         topo: &Topology,
@@ -440,14 +440,8 @@ impl IterationSim {
             if total_tokens > 0.0 { total_survived / total_tokens } else { 1.0 };
 
         let placement = self.placement(replicas_per_class, system);
-        let host_ranks = placement.host_ranks(e);
-        let rank_classes = placement.rank_classes(e);
-        let mut rank_tokens = vec![0.0f64; n];
-        for slot in 0..placement.total_slots() {
-            let class = placement.class_of_slot(slot);
-            rank_tokens[placement.rank_of_slot(slot)] +=
-                survived[class] / replicas_per_class[class] as f64;
-        }
+        let (host_ranks, rank_classes, rank_tokens) =
+            Self::load(&placement, &survived, replicas_per_class);
 
         // ---- Compute phases: topology-independent. ----
         let tokens_per_rank = m.tokens_per_batch as f64 / n as f64;
@@ -897,5 +891,93 @@ mod tests {
             assert!(b.is_finite() && *b >= 0.0);
         }
         assert_eq!(symi.comm_bytes_by_tier.len(), topo.num_tiers());
+    }
+
+    /// Every output of the flat simulator, pinned to the bit for three
+    /// systems on the skewed load: DeepSpeed on uniform replicas, SYMI and
+    /// FlexMoE (mid-migration, 2 moved replicas) on proportional ones. Figs
+    /// 11/12 and Tables 1/3 are drawn from these numbers, so a refactor of
+    /// the placement or the simulator must leave every one unchanged.
+    #[test]
+    fn flat_simulate_outputs_are_pinned() {
+        let s = sim();
+        let tokens = skewed_tokens(&s);
+        let proportional = proportional_replicas(&s, &tokens);
+        let moved = RebalanceSpec { moved_replicas_per_layer: 2 };
+        // (system, replicas, rebalance, component bits, survival bits,
+        // GPU peak bits)
+        type Pinned =
+            (SimSystem, Vec<usize>, RebalanceSpec, &'static [(&'static str, u64)], u64, u64);
+        let cases: [Pinned; 3] = [
+            (
+                SimSystem::DeepSpeedStatic,
+                s.uniform_replicas(),
+                RebalanceSpec::default(),
+                &[
+                    ("dense_fwd", 0x3fd365f25a4f37a6),
+                    ("router_meta", 0x0000000000000000),
+                    ("a2a_fwd", 0x3f7ed371f453ddbc),
+                    ("expert_fwd", 0x3f53ca8cb153a752),
+                    ("dense_bwd", 0x3fe365f25a4f37a6),
+                    ("a2a_bwd", 0x3f7ed371f453ddbc),
+                    ("expert_bwd", 0x3f63ca8cb153a752),
+                    ("edp_sync", 0x3fad541ef4359430),
+                    ("grad_comm", 0x3f6d03be47f127c3),
+                    ("opt_step", 0x3f9291c175b90f35),
+                    ("weight_comm", 0x3f9f7b19f993bbc8),
+                ],
+                0x3fe2000000000000,
+                0x41e1956800000000,
+            ),
+            (
+                SimSystem::Symi,
+                proportional.clone(),
+                RebalanceSpec::default(),
+                &[
+                    ("dense_fwd", 0x3fd365f25a4f37a6),
+                    ("router_meta", 0x3f69c1b41e36ee1b),
+                    ("a2a_fwd", 0x3f83be07c0f43b79),
+                    ("expert_fwd", 0x3f5e72b110cf7794),
+                    ("dense_bwd", 0x3fe365f25a4f37a6),
+                    ("a2a_bwd", 0x3f83be07c0f43b79),
+                    ("expert_bwd", 0x3f6e72b110cf7794),
+                    ("edp_sync", 0x3f9278e089eb983e),
+                    ("grad_comm", 0x3f88a994f059c833),
+                    ("opt_step", 0x3f9291c175b90f35),
+                    ("weight_comm", 0x3fa338e142dc90be),
+                ],
+                0x3fef000000000001,
+                0x41e1956800000000,
+            ),
+            (
+                SimSystem::FlexMoE,
+                proportional,
+                moved,
+                &[
+                    ("dense_fwd", 0x3fd365f25a4f37a6),
+                    ("router_meta", 0x0000000000000000),
+                    ("a2a_fwd", 0x3f8360e52adeee0a),
+                    ("expert_fwd", 0x3f5d8d6f9f5ff40f),
+                    ("dense_bwd", 0x3fe365f25a4f37a6),
+                    ("a2a_bwd", 0x3f8360e52adeee0a),
+                    ("expert_bwd", 0x3f6d8d6f9f5ff40f),
+                    ("edp_sync", 0x3fa413f97f2dedaf),
+                    ("grad_comm", 0x3f6d03be47f127c3),
+                    ("opt_step", 0x3f9291c175b90f35),
+                    ("weight_comm", 0x3f9f7b19f993bbc8),
+                    ("migration", 0x3ff6d4d41848b3bd),
+                ],
+                0x3fef000000000001,
+                0x41eff06500000000,
+            ),
+        ];
+        for (system, replicas, rebalance, components, survived, gpu) in cases {
+            let b = s.simulate(&tokens, &replicas, system, rebalance);
+            let got: Vec<(&str, u64)> =
+                b.components.iter().map(|c| (c.name, c.seconds.to_bits())).collect();
+            assert_eq!(got, components, "{system:?} components");
+            assert_eq!(b.survived_fraction.to_bits(), survived, "{system:?} survival");
+            assert_eq!(b.gpu_peak_bytes.to_bits(), gpu, "{system:?} GPU peak");
+        }
     }
 }

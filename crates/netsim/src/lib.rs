@@ -2,7 +2,7 @@
 //!
 //! Performance modeling for the SYMI reproduction: the cluster/hardware
 //! descriptions, the paper's analytic communication-cost formulas (§3.3
-//! items I–III, Appendix A.1 and A.2), and a task-graph latency simulator
+//! items I–III, Appendix A.1 and A.2), and an iteration latency simulator
 //! that turns byte and FLOP counts into the per-iteration latencies and
 //! component breakdowns reported in Table 1, Table 3, Figure 11 and
 //! Figure 12.
@@ -10,6 +10,11 @@
 //! Everything here is deterministic arithmetic over `f64` seconds and bytes;
 //! no wall-clock time is ever consulted. The real data movement happens in
 //! `symi-collectives`, whose traffic reports this crate prices.
+//!
+//! Two types are shared with the runtime in `symi`, which sits above this
+//! crate: [`ExpertPlacement`], the slot-to-class map the simulator prices
+//! and the engine executes, and [`TaskGraph`], the iteration DAG the engine
+//! checks its ordering against and the scheduler can put durations on.
 
 pub mod costmodel;
 pub mod event;
@@ -18,7 +23,7 @@ pub mod placement;
 pub mod topology;
 
 pub use costmodel::{CommCostModel, CommCosts, ShardScope, SystemKind, TierPhase, TieredCostModel};
-pub use event::{GraphError, TaskGraph, TaskId};
+pub use event::{TaskGraph, TaskId};
 pub use iteration::{IterationBreakdown, IterationSim, RebalanceSpec, SimSystem};
-pub use placement::SlotPlacement;
+pub use placement::ExpertPlacement;
 pub use topology::{HardwareSpec, ModelCostConfig, TierSpec, Topology};

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use symi::{EngineConfig, EngineSnapshot, MoeLayerEngine};
 use symi_collectives::{Cluster, ClusterSpec};
-use symi_telemetry::ClusterTelemetry;
+use symi_telemetry::{ClusterTelemetry, PHASES};
 use symi_tensor::{AdamConfig, Matrix};
 
 const NODES: usize = 4;
@@ -192,7 +192,7 @@ fn overlap_telemetry_attributes_hidden_bytes() {
     let run_mode = |overlap: bool| {
         let telemetry = ClusterTelemetry::new(NODES);
         let tele = telemetry.clone();
-        let (_, _) = Cluster::run(ClusterSpec::flat(NODES), move |ctx| {
+        let (_, traffic) = Cluster::run(ClusterSpec::flat(NODES), move |ctx| {
             let mut engine = MoeLayerEngine::new(ctx.rank(), NODES, cfg());
             engine.set_overlap(overlap);
             engine.attach_telemetry(tele.handle(ctx.rank()));
@@ -203,16 +203,27 @@ fn overlap_telemetry_attributes_hidden_bytes() {
             }
             engine.drain(ctx).unwrap();
         });
-        telemetry
+        (telemetry, traffic)
     };
-    let telemetry = run_mode(true);
+    let (telemetry, overlap_traffic) = run_mode(true);
     let json = telemetry.registry().snapshot().to_string();
     for gauge in ["overlap_hidden_bytes", "overlap_exposed_bytes", "overlap_exposed_ms"] {
         assert!(json.contains(gauge), "telemetry must carry `{gauge}`: {json}");
     }
     // Both schedules publish the same optimizer-state footprint.
     let state_bytes = |t: &Arc<ClusterTelemetry>| t.handle(0).gauge("optimizer_state_bytes").get();
-    let sequential = state_bytes(&run_mode(false));
+    let (sequential_telemetry, sequential_traffic) = run_mode(false);
+    let sequential = state_bytes(&sequential_telemetry);
     assert!(sequential > 0.0, "the sequential schedule must publish optimizer_state_bytes");
     assert_eq!(state_bytes(&telemetry), sequential, "overlap must publish the same value");
+    // Both schedules move the same bytes for the same reasons, so every
+    // phase must be charged the same bytes whichever order they move in.
+    assert_eq!(overlap_traffic.total_bytes(), sequential_traffic.total_bytes());
+    for phase in PHASES {
+        assert_eq!(
+            overlap_traffic.bytes_in_phase(phase),
+            sequential_traffic.bytes_in_phase(phase),
+            "{phase:?}: overlap and sequential attribute different bytes"
+        );
+    }
 }
